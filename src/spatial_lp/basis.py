@@ -38,6 +38,11 @@ def s_factorial(idx: MultiIndex) -> int:
     return out
 
 
+def derivative_scale(idx: MultiIndex, h) -> float:
+    """s! / prod_l h_{j_l}: maps an H-scale coefficient to the derivative scale."""
+    return s_factorial(idx) / float(np.prod([h[j - 1] for j in idx]))
+
+
 def monomial(idx: MultiIndex, v) -> float:
     """prod_l v[j_l - 1]; equals 1.0 for the empty index."""
     out = 1.0

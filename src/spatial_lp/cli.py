@@ -24,6 +24,7 @@ from .dataset import (
     SpatialDataset,
     generate_sites,
     load_csv,
+    rep_rng,
     save_csv,
     save_metadata,
 )
@@ -34,11 +35,26 @@ from .inference import (
     two_sample_variance,
     variance_hat,
 )
-from .lpfit import FitConfig, FitError, estimate_bias, fit_at
+from .lpfit import FitConfig, FitError, derivative_bias, estimate_bias, fit_at
 
 
 class ConfigError(Exception):
     pass
+
+
+class _Config(dict):
+    """A parsed config; reading a required key that is absent names it."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"config is missing required key {key!r}")
+
+
+# Keys of the nested config objects, checked as strictly as the top level.
+SECTION_KEYS = {
+    "density": {"kind", "params"},
+    "error": {"kind", "sigma2", "lambda", "tau2", "n_knots", "buffer"},
+    "kernel": {"family", "C_K"},
+}
 
 
 def _load_config(path, allowed: set) -> dict:
@@ -50,10 +66,15 @@ def _load_config(path, allowed: set) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON at byte {exc.pos}: {exc.msg}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(cfg) - allowed
+    for key in allowed & SECTION_KEYS.keys():
+        if isinstance(cfg.get(key), dict):
+            unknown |= {f"{key}.{k}" for k in set(cfg[key]) - SECTION_KEYS[key]}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return cfg
+    return _Config(cfg)
 
 
 def _density(cfg) -> SamplingDensity:
@@ -92,7 +113,7 @@ def cmd_simulate(args) -> int:
         error=_error_case(cfg.get("error")),
         master_seed=seed,
     )
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    rng = rep_rng(seed, 0)
     sites = generate_sites(region, density, cfg["n"], rng)
     y = mc.simulate_responses(spec, sites, rng)
     dataset = SpatialDataset(region=region, sites=sites, responses=y)
@@ -175,7 +196,7 @@ def cmd_fit(args) -> int:
                     "bias": (
                         ""
                         if bias is None
-                        else _deriv_bias(config, bias, idx)
+                        else derivative_bias(config, bias, idx)
                     ),
                     "boundary": int(fit.boundary_flag),
                     "error": "",
@@ -205,12 +226,6 @@ def cmd_fit(args) -> int:
         w.writerows(rows)
     (out / "provenance.json").write_text(json.dumps(_provenance(cfg), indent=2))
     return 0
-
-
-def _deriv_bias(config, bias_vec, idx):
-    from .lpfit import derivative_bias
-
-    return derivative_bias(config, bias_vec, idx)
 
 
 MC_KEYS = {
@@ -361,7 +376,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -145,6 +145,11 @@ class SpatialDataset:
             raise ValueError("sites and responses must have equal length")
         if self.sites.shape[0] < 1:
             raise ValueError("dataset must contain at least one observation")
+        bad = np.flatnonzero(~np.isfinite(self.responses))
+        if bad.size:
+            raise ValueError(
+                f"response at row {bad[0]} is not finite: {self.responses[bad[0]]}"
+            )
         if self.sites.shape[1] != self.region.d:
             raise ValueError("site dimension does not match region")
         if not self.region.contains(self.sites).all():

@@ -15,7 +15,13 @@ from scipy.special import ndtr, ndtri
 
 from . import basis, kernels
 from .dataset import SpatialDataset
-from .lpfit import FitConfig, FitResult, fit_mean_at
+from .lpfit import (
+    FitConfig,
+    FitResult,
+    derivative_variance,
+    fit_mean_at,
+    kernel_weights,
+)
 
 
 class DegenerateWindow(Exception):
@@ -54,18 +60,9 @@ class TestReport:
 
 def density_hat(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z) -> float:
     """(n h_1...h_d)^{-1} sum_i K_Ah(X_i - A z)."""
-    z = np.asarray(z, dtype=float)
-    A = dataset.region.sides()
     h = np.asarray(h, dtype=float)
-    scaled = (dataset.sites - A * z) / (A * h)
-    w = kernels.eval_kernel_many(kernel, scaled)
+    w = kernel_weights(dataset, kernel, h, z)
     return float(w.sum() / (dataset.n * np.prod(h)))
-
-
-def _kernel_weights(dataset, kernel, h, z):
-    A = dataset.region.sides()
-    scaled = (dataset.sites - A * z) / (A * np.asarray(h))
-    return kernels.eval_kernel_many(kernel, scaled)
 
 
 def make_residual_provider(dataset: SpatialDataset, config: FitConfig):
@@ -77,31 +74,28 @@ def make_residual_provider(dataset: SpatialDataset, config: FitConfig):
     return mhat
 
 
-def _tapered_pair_sum(
-    dataset: SpatialDataset,
-    kernel: kernels.KernelSpec,
-    h,
-    taper: kernels.TaperSpec,
-    z,
-    mhat,
-) -> float:
-    """sum_{i,j} K_i K_j Kbar(X_i - X_j) r_i r_j over in-window pairs."""
-    w = _kernel_weights(dataset, kernel, h, z)
+def _window_residuals(dataset: SpatialDataset, kernel, h, z, mhat):
+    """In-window sites X_i and their K_i r_i, with r_i = Y_i - m_hat(X_i / A).
+
+    Sites outside the kernel window carry zero weight, so they drop out of
+    every tapered sum and need no residual fit.
+    """
+    w = kernel_weights(dataset, kernel, h, z)
     active = np.flatnonzero(w > 0.0)
-    if active.size == 0:
-        return 0.0
     A = dataset.region.sides()
     res = np.array(
-        [
-            dataset.responses[i] - mhat(dataset.sites[i] / A)
-            for i in active
-        ]
+        [dataset.responses[i] - mhat(dataset.sites[i] / A) for i in active]
     )
-    wr = w[active] * res
-    X = dataset.sites[active]
-    disp = X[:, None, :] - X[None, :, :]
-    Kbar = kernels.eval_taper_many(taper, disp)
-    return float(wr @ Kbar @ wr)
+    return dataset.sites[active], w[active] * res
+
+
+def _tapered_sum(window1, window2, taper: kernels.TaperSpec) -> float:
+    """sum_{i,j} wr_i Kbar(X_i - Y_j) wr'_j over two windows (X, wr), (Y, wr')."""
+    (X, wr), (Y, wr2) = window1, window2
+    if wr.size == 0 or wr2.size == 0:
+        return 0.0
+    Kbar = kernels.eval_taper_many(taper, X[:, None, :] - Y[None, :, :])
+    return float(wr @ Kbar @ wr2)
 
 
 def variance_hat(
@@ -122,12 +116,11 @@ def variance_hat(
     g = density_hat(dataset, kernel, h, z)
     if g <= 0.0:
         raise DegenerateWindow(f"estimated density at z={z} is zero")
-    s = _tapered_pair_sum(dataset, kernel, h, taper, z, mhat)
+    window = _window_residuals(dataset, kernel, h, z, mhat)
+    s = _tapered_sum(window, window, taper)
     An = dataset.region.volume
     W1 = An / (dataset.n**2 * float(np.prod(h))) * s
-    layout_d = kernel.d
-    kappa02 = kernels.moment_1d(kernel, 0, 2) ** layout_d
-    W = W1 / (kappa02 * g * g)
+    W = W1 / (kernels.kappa0_r2(kernel) * g * g)
     return VarianceEstimate(g_hat=g, W1_hat=W1, W_hat=W, residual_bandwidth=h)
 
 
@@ -140,15 +133,8 @@ def interval_halfwidth(
     h,
     tau: float,
 ) -> float:
-    idx = tuple(idx)
-    k = layout.position(idx)
-    sks = moments.sks()
-    h = np.asarray(h, dtype=float)
-    sfac = basis.s_factorial(idx)
-    hprod = float(np.prod([h[j - 1] for j in idx]))
-    q = normal_quantile(1.0 - tau / 2.0)
-    var = W_hat * sfac**2 * sks[k, k] / (An * float(np.prod(h)) * hprod**2)
-    return q * np.sqrt(max(var, 0.0))
+    var = derivative_variance(moments, layout, idx, W_hat, An, h)
+    return normal_quantile(1.0 - tau / 2.0) * np.sqrt(max(var, 0.0))
 
 
 def confidence_interval(
@@ -165,8 +151,7 @@ def confidence_interval(
     center = fit.derivative(idx)
     if fit.bias_hat is not None:
         k = fit.layout.position(idx)
-        hprod = float(np.prod([fit.h[j - 1] for j in idx]))
-        center -= basis.s_factorial(idx) * fit.bias_hat[k] / hprod
+        center -= basis.derivative_scale(idx, fit.h) * fit.bias_hat[k]
     hw = interval_halfwidth(
         moments, fit.layout, idx, varest.W_hat, fit.An, fit.h, tau
     )
@@ -190,33 +175,19 @@ def two_sample_variance(
     h = tuple(float(v) for v in np.atleast_1d(h))
     An = ds1.region.volume
     hv = float(np.prod(h))
-    kappa02 = kernels.moment_1d(kernel, 0, 2) ** kernel.d
 
     g1 = density_hat(ds1, kernel, h, z)
     g2 = density_hat(ds2, kernel, h, z)
     if g1 <= 0.0 or g2 <= 0.0:
         raise DegenerateWindow("estimated density vanished in one of the samples")
 
-    V1 = An / (ds1.n**2 * hv) * _tapered_pair_sum(ds1, kernel, h, taper, z, mhat1)
-    V2 = An / (ds2.n**2 * hv) * _tapered_pair_sum(ds2, kernel, h, taper, z, mhat2)
+    win1 = _window_residuals(ds1, kernel, h, z, mhat1)
+    win2 = _window_residuals(ds2, kernel, h, z, mhat2)
+    V1 = An / (ds1.n**2 * hv) * _tapered_sum(win1, win1, taper)
+    V2 = An / (ds2.n**2 * hv) * _tapered_sum(win2, win2, taper)
+    V3 = An / (ds1.n * ds2.n * hv) * _tapered_sum(win1, win2, taper)
 
-    # cross-sample sum
-    w1 = _kernel_weights(ds1, kernel, h, z)
-    w2 = _kernel_weights(ds2, kernel, h, z)
-    a1 = np.flatnonzero(w1 > 0.0)
-    a2 = np.flatnonzero(w2 > 0.0)
-    A = ds1.region.sides()
-    r1 = np.array([ds1.responses[i] - mhat1(ds1.sites[i] / A) for i in a1])
-    r2 = np.array([ds2.responses[i] - mhat2(ds2.sites[i] / A) for i in a2])
-    if a1.size and a2.size:
-        disp = ds1.sites[a1][:, None, :] - ds2.sites[a2][None, :, :]
-        Kbar = kernels.eval_taper_many(taper, disp)
-        cross = float((w1[a1] * r1) @ Kbar @ (w2[a2] * r2))
-    else:
-        cross = 0.0
-    V3 = An / (ds1.n * ds2.n * hv) * cross
-
-    V = (V1 / g1**2 + V2 / g2**2 - 2.0 * V3 / (g1 * g2)) / kappa02
+    V = (V1 / g1**2 + V2 / g2**2 - 2.0 * V3 / (g1 * g2)) / kernels.kappa0_r2(kernel)
     if V < 0.0:
         warnings.warn("pooled two-sample variance negative; clamped to 0")
         return 0.0
@@ -242,16 +213,9 @@ def two_sample_test(
             idx=idx, T=float("nan"), V_check=V_check, p_value=float("nan"),
             level=tau, decision="inconclusive",
         )
-    k = fit1.layout.position(idx)
-    sks = moments.sks()
-    h = fit1.h
-    hprod = float(np.prod([h[j - 1] for j in idx]))
-    sfac = basis.s_factorial(idx)
     diff = fit1.derivative(idx) - fit2.derivative(idx)
-    T = (
-        np.sqrt(fit1.An * float(np.prod(h)) * hprod**2)
-        * diff
-        / np.sqrt(V_check * sfac**2 * sks[k, k])
+    T = diff / np.sqrt(
+        derivative_variance(moments, fit1.layout, idx, V_check, fit1.An, fit1.h)
     )
     p = 2.0 * (1.0 - normal_cdf(abs(T)))
     q = normal_quantile(1.0 - tau / 2.0)

@@ -106,6 +106,11 @@ def moment_1d(spec: KernelSpec, a: int, r: int) -> float:
     return C ** (a + 1 - r) * _base_moment_1d(spec.family, a, r)
 
 
+def kappa0_r2(spec: KernelSpec) -> float:
+    """kappa_0^(2) = int K^2(z) dz, the K^2 mass in every variance factor."""
+    return float(moment_1d(spec, 0, 2) ** spec.d)
+
+
 def kappa_moment(spec: KernelSpec, powers, r: int) -> float:
     """int prod_j z_j^{a_j} K^r(z) dz via per-axis closed forms."""
     powers = np.asarray(powers, dtype=int)
@@ -166,5 +171,4 @@ def moment_matrices(spec: KernelSpec, layout) -> MomentMatrices:
             f"kernel moment matrix S is numerically singular for {spec.family} "
             f"(d={layout.d}, p={layout.p}); kernel spec is unusable"
         )
-    kappa0_r2 = float(m2[0] ** spec.d)
-    return MomentMatrices(S=S, Kcal=Kcal, B=B, kappa0_r2=kappa0_r2)
+    return MomentMatrices(S=S, Kcal=Kcal, B=B, kappa0_r2=kappa0_r2(spec))

@@ -9,6 +9,7 @@ the mean surface at z.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -65,18 +66,14 @@ class FitConfig:
         return replace(self, p=self.p + 1, h=tuple(ph), pilot_h=None)
 
 
-def _layout_cached(d, p, _cache={}):
-    key = (d, p)
-    if key not in _cache:
-        _cache[key] = basis.build_layout(d, p)
-    return _cache[key]
+@functools.cache
+def _layout_cached(d, p):
+    return basis.build_layout(d, p)
 
 
-def _moments_cached(spec, p, _cache={}):
-    key = (spec, p)
-    if key not in _cache:
-        _cache[key] = kernels.moment_matrices(spec, _layout_cached(spec.d, p))
-    return _cache[key]
+@functools.cache
+def _moments_cached(spec, p):
+    return kernels.moment_matrices(spec, _layout_cached(spec.d, p))
 
 
 @dataclass
@@ -106,10 +103,13 @@ class FitResult:
         }
 
 
-def _weights(dataset: SpatialDataset, config: FitConfig, z: np.ndarray) -> np.ndarray:
+def kernel_weights(
+    dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z
+) -> np.ndarray:
+    """K((X_i - A z) / (A h)) for every site: the weight vector of a fit at z."""
     A = dataset.region.sides()
-    scaled = (dataset.sites - A * z) / (A * np.asarray(config.h))
-    return kernels.eval_kernel_many(config.kernel, scaled)
+    scaled = (dataset.sites - A * z) / (A * np.asarray(h, dtype=float))
+    return kernels.eval_kernel_many(kernel, scaled)
 
 
 def _check_interior(z: np.ndarray, d: int) -> None:
@@ -126,7 +126,7 @@ def fit_at(dataset: SpatialDataset, config: FitConfig, z) -> FitResult:
     layout = config.layout()
     D = layout.D
 
-    w = _weights(dataset, config, z)
+    w = kernel_weights(dataset, config.kernel, config.h, z)
     active = np.flatnonzero(w > 0.0)
     if active.size < D:
         raise NoLocalData(
@@ -198,13 +198,12 @@ def top_order_moment_vector(
     config: FitConfig, derivatives: dict[tuple, float]
 ) -> np.ndarray:
     """Assemble the top-order term vector with entries (dm / s!) prod_l h_{j_l}."""
-    layout = config.layout()
-    h = np.asarray(config.h)
-    out = np.empty(layout.D_bar)
-    for t, idx in enumerate(layout.top_indices):
-        hprod = float(np.prod([h[j - 1] for j in idx]))
-        out[t] = derivatives[idx] / basis.s_factorial(idx) * hprod
-    return out
+    return np.array(
+        [
+            derivatives[idx] / basis.derivative_scale(idx, config.h)
+            for idx in config.layout().top_indices
+        ]
+    )
 
 
 def estimate_bias(dataset: SpatialDataset, config: FitConfig, z) -> np.ndarray:
@@ -227,11 +226,21 @@ def estimate_bias(dataset: SpatialDataset, config: FitConfig, z) -> np.ndarray:
 def derivative_bias(config: FitConfig, bias_vec: np.ndarray, idx) -> float:
     """Map a component of the H-scale bias vector to the derivative scale."""
     idx = tuple(idx)
-    layout = config.layout()
+    k = config.layout().position(idx)
+    return float(basis.derivative_scale(idx, config.h) * bias_vec[k])
+
+
+def derivative_variance(
+    moments: kernels.MomentMatrices, layout, idx, W: float, An: float, h
+) -> float:
+    """Plug-in variance of a derivative estimate with long-run variance factor W.
+
+    W s!^2 [S^{-1} Kcal S^{-1}]_kk / (A_n prod_j h_j prod_l h_{j_l}^2).
+    """
+    idx = tuple(idx)
     k = layout.position(idx)
-    h = np.asarray(config.h)
-    hprod = float(np.prod([h[j - 1] for j in idx]))
-    return float(basis.s_factorial(idx) * bias_vec[k] / hprod)
+    scale = basis.derivative_scale(idx, h)
+    return float(W * scale**2 * moments.sks()[k, k] / (An * float(np.prod(h))))
 
 
 def mse_estimate(
@@ -244,21 +253,10 @@ def mse_estimate(
     """Plug-in MSE of the derivative estimator: squared bias plus variance."""
     if variance_factor < 0:
         raise ValueError("variance factor must be nonnegative")
-    idx = tuple(idx)
-    bias_vec = estimate_bias(dataset, config, z)
-    b = derivative_bias(config, bias_vec, idx)
-
-    layout = config.layout()
-    k = layout.position(idx)
-    sks = config.moments().sks()
-    h = np.asarray(config.h)
-    sfac = basis.s_factorial(idx)
-    hprod = float(np.prod([h[j - 1] for j in idx]))
-    var = (
-        variance_factor
-        * sfac**2
-        * sks[k, k]
-        / (dataset.region.volume * float(np.prod(h)) * hprod**2)
+    b = derivative_bias(config, estimate_bias(dataset, config, z), idx)
+    var = derivative_variance(
+        config.moments(), config.layout(), idx, variance_factor,
+        dataset.region.volume, config.h,
     )
     return b * b + var
 

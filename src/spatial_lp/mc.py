@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, randfield
-from .dataset import Region, SamplingDensity, SpatialDataset, generate_sites
+from .dataset import Region, SamplingDensity, SpatialDataset, generate_sites, rep_rng
 from .inference import make_residual_provider, normal_quantile, variance_hat
-from .lpfit import FitConfig, FitError, estimate_bias, fit_at
+from .lpfit import FitConfig, FitError, derivative_variance, estimate_bias, fit_at
 from .randfield import FieldModel, NoiseModel
 
 HIST_RANGE = (-5.0, 5.0)
@@ -145,9 +145,7 @@ def simulate_responses(spec: ExperimentSpec, sites: np.ndarray, rng) -> np.ndarr
 
 def run_replication(spec: ExperimentSpec, rep: int) -> tuple[float, bool]:
     """One replication: returns (T_hat, ci_covered)."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(spec.master_seed), int(rep)])
-    )
+    rng = rep_rng(spec.master_seed, rep)
     region = spec.region()
     sites = generate_sites(region, spec.density, spec.n, rng)
     y = simulate_responses(spec, sites, rng)
@@ -165,9 +163,9 @@ def run_replication(spec: ExperimentSpec, rep: int) -> tuple[float, bool]:
     taper = kernels.TaperSpec(widths=spec.taper_b)
     varest = variance_hat(dataset, mhat, kern, spec.variance_h, taper, zpt)
 
-    mom = config.moments()
-    sks00 = mom.sks()[0, 0]
-    var0 = varest.W_hat * sks00 / (region.volume * float(np.prod(spec.fit_h)))
+    var0 = derivative_variance(
+        config.moments(), config.layout(), (), varest.W_hat, region.volume, spec.fit_h
+    )
 
     mean_fn = make_mean_function(spec.mean)
     beta0_true = float(mean_fn(zpt[None, :])[0]) + spec.mean_offset

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.spatial.distance import cdist
 
 from .dataset import Region
 
@@ -112,10 +113,7 @@ def _superposition(kernel, sites: np.ndarray, knots: np.ndarray, jumps: np.ndarr
     r0, r1 = kernel
     if len(knots) == 0:
         return np.zeros(sites.shape[0])
-    dist = np.sqrt(
-        ((sites[:, None, :] - knots[None, :, :]) ** 2).sum(axis=2)
-    )
-    return (r0 * np.exp(-r1 * dist)) @ jumps
+    return (r0 * np.exp(-r1 * cdist(sites, knots))) @ jumps
 
 
 def simulate_field(
@@ -197,7 +195,7 @@ def field_variance(model: FieldModel, d: int = 2) -> float:
 def _gaussian_exact(model: FieldModel, sites: np.ndarray, rng) -> np.ndarray:
     n, d = sites.shape
     r0, r1 = model.kernels[0]
-    dist = np.sqrt(((sites[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
+    dist = cdist(sites, sites)
     if d == 1:
         prof = r0 * r0 * np.exp(-r1 * dist) * (dist + 1.0 / r1)
     elif d == 2:

@@ -134,6 +134,36 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("simulate", {"n": 50, "A": [10.0, 10.0], "error": {"lamda": 5}},
+         "error.lamda"),
+        ("simulate", {"n": 50, "A": [10.0, 10.0], "density": {"knd": "uniform"}},
+         "density.knd"),
+        ("moments", {"d": 2, "kernel": {"family": "product-uniform", "CK": 2.0}},
+         "kernel.CK"),
+    ],
+)
+def test_unknown_nested_config_key(tmp_path, capsys, command, payload, key):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_required_key_is_named(tmp_path, capsys, sim_data):
+    cfg = _write(tmp_path / "fit.json", {"p": 1, "z": [0.0, 0.0]})
+    assert (
+        cli.main(
+            ["fit", "--config", cfg, "--data", str(sim_data), "--out", str(tmp_path / "o")]
+        )
+        == 1
+    )
+    err = capsys.readouterr().err
+    assert "fit" in err and "missing required key 'h'" in err
+
+
 def test_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -101,6 +101,21 @@ def test_dataset_validation():
         ds.SpatialDataset(region=r, sites=[[0.0, 0.0, 0.0]], responses=[1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_response(bad):
+    r = ds.Region(A=(2.0, 2.0))
+    sites = [[0.0, 0.0], [0.5, 0.5], [-0.5, 0.5], [0.1, 0.2]]
+    with pytest.raises(ValueError, match="row 2 is not finite"):
+        ds.SpatialDataset(region=r, sites=sites, responses=[1.0, 2.0, bad, bad])
+
+
+def test_load_csv_rejects_nan_response(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("# A=2\nx1,y\n0.0,1.0\n0.5,nan\n")
+    with pytest.raises(ValueError, match="row 1 is not finite"):
+        ds.load_csv(path)
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     r = ds.Region(A=(10.0, 5.0))
     rng = np.random.default_rng(1)

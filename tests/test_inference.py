@@ -171,6 +171,32 @@ def test_two_sample_variance_positive_for_independent_samples():
     assert V > 0.0
 
 
+def test_two_sample_variance_fits_each_window_residual_once(monkeypatch):
+    fits = []
+    fit_at = lpfit.fit_at
+
+    def counting_fit_at(dataset, config, z):
+        fits.append((id(dataset), tuple(np.round(z, 12))))
+        return fit_at(dataset, config, z)
+
+    monkeypatch.setattr(lpfit, "fit_at", counting_fit_at)
+    d1, d2 = _dataset(400, 5), _dataset(300, 6)
+    h, z = (0.25, 0.25), np.array([0.05, -0.05])
+    config = lpfit.FitConfig(p=1, kernel=KERN, h=h)
+    inference.two_sample_variance(
+        d1, d2, KERN, h, kernels.TaperSpec(widths=(1.0, 1.0)), z,
+        inference.make_residual_provider(d1, config),
+        inference.make_residual_provider(d2, config),
+    )
+    expected = []
+    for data in (d1, d2):
+        u = (data.sites / data.region.sides() - z) / np.asarray(h)
+        window = data.rescaled_sites()[(np.abs(u) < 1.0).all(axis=1)]
+        expected += [(id(data), tuple(np.round(x, 12))) for x in window]
+    assert len(expected) > 0
+    assert sorted(fits) == sorted(expected)
+
+
 def test_two_sample_variance_region_mismatch():
     d1 = _dataset(50, 7, A=10.0)
     d2 = _dataset(50, 8, A=8.0)
