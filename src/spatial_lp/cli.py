@@ -143,6 +143,19 @@ def _error_case(cfg) -> mc.ErrorCase:
     )
 
 
+def _fitted_once(mhat):
+    """m_hat that fits each distinct point once; windows of a grid overlap."""
+    fitted = {}
+
+    def cached(Z):
+        new = {z.tobytes(): z for z in Z if z.tobytes() not in fitted}
+        if new:
+            fitted.update(zip(new, mhat(np.array(list(new.values())))))
+        return np.array([fitted[z.tobytes()] for z in Z])
+
+    return cached
+
+
 FIT_KEYS = {"p", "kernel", "h", "z", "z_grid", "pilot_h", "variance_h", "taper_b", "tau"}
 
 
@@ -170,6 +183,9 @@ def cmd_fit(args) -> int:
     tau = cfg.get("tau", 0.05)
     taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"])) if with_ci else None
     variance_h = tuple(cfg.get("variance_h", cfg["h"]))
+    if with_ci:
+        res_cfg = FitConfig(p=config.p, kernel=kern, h=variance_h)
+        mhat = _fitted_once(make_residual_provider(dataset, res_cfg))
     mom = config.moments()
 
     out = Path(args.out)
@@ -185,8 +201,6 @@ def cmd_fit(args) -> int:
             fit.bias_hat = bias
             varest = None
             if with_ci:
-                res_cfg = FitConfig(p=config.p, kernel=kern, h=variance_h)
-                mhat = make_residual_provider(dataset, res_cfg)
                 varest = variance_hat(dataset, mhat, kern, variance_h, taper, zarr)
             for k, idx in enumerate(fit.layout.indices):
                 row = {

@@ -13,15 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import basis, kernels
+from . import basis, kernels, lpfit
 from .dataset import SpatialDataset
-from .lpfit import (
-    FitConfig,
-    FitResult,
-    derivative_variance,
-    fit_mean_at,
-    kernel_weights,
-)
+from .lpfit import FitConfig, FitResult, derivative_variance, kernel_weights
 
 
 class DegenerateWindow(Exception):
@@ -66,12 +60,8 @@ def density_hat(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z) -> fl
 
 
 def make_residual_provider(dataset: SpatialDataset, config: FitConfig):
-    """m_hat evaluated by a local polynomial fit with the given config."""
-
-    def mhat(z):
-        return fit_mean_at(dataset, config, z)
-
-    return mhat
+    """m_hat by local polynomial fits: (m, d) rescaled points to (m,) intercepts."""
+    return lambda Z: lpfit.fit_many(dataset, config, Z)[0][:, 0]
 
 
 def _window_residuals(dataset: SpatialDataset, kernel, h, z, mhat):
@@ -82,11 +72,9 @@ def _window_residuals(dataset: SpatialDataset, kernel, h, z, mhat):
     """
     w = kernel_weights(dataset, kernel, h, z)
     active = np.flatnonzero(w > 0.0)
-    A = dataset.region.sides()
-    res = np.array(
-        [dataset.responses[i] - mhat(dataset.sites[i] / A) for i in active]
-    )
-    return dataset.sites[active], w[active] * res
+    sites = dataset.sites[active]
+    res = dataset.responses[active] - mhat(sites / dataset.region.sides())
+    return sites, w[active] * res
 
 
 def _tapered_sum(window1, window2, taper: kernels.TaperSpec) -> float:
@@ -94,8 +82,7 @@ def _tapered_sum(window1, window2, taper: kernels.TaperSpec) -> float:
     (X, wr), (Y, wr2) = window1, window2
     if wr.size == 0 or wr2.size == 0:
         return 0.0
-    Kbar = kernels.eval_taper_many(taper, X[:, None, :] - Y[None, :, :])
-    return float(wr @ Kbar @ wr2)
+    return float(wr @ kernels.eval_taper_pairs(taper, X, Y) @ wr2)
 
 
 def variance_hat(
@@ -108,8 +95,8 @@ def variance_hat(
 ) -> VarianceEstimate:
     """Tapered double-sum estimate of the asymptotic variance factor.
 
-    mhat is a callable returning the fitted mean at a rescaled point; it
-    supplies the residuals Y_i - m_hat(X_i / A).
+    mhat maps an (m, d) array of rescaled points to the (m,) fitted means;
+    it supplies the residuals Y_i - m_hat(X_i / A).
     """
     z = np.asarray(z, dtype=float)
     h = tuple(float(v) for v in np.atleast_1d(h))

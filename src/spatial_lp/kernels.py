@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.spatial.distance import cdist
 
 FAMILIES = ("product-triangular", "product-epanechnikov", "product-uniform")
 
@@ -67,22 +68,32 @@ def eval_kernel(spec: KernelSpec, v) -> float:
     return float(eval_kernel_many(spec, np.asarray(v, dtype=float)[None, :])[0])
 
 
+def eval_kernel_axis(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
+    """The 1-D factor k(u / C) / C of the product kernel, elementwise."""
+    C = spec.support_halfwidth
+    return _base_1d(spec.family, u / C) / C
+
+
 def eval_kernel_many(spec: KernelSpec, V: np.ndarray) -> np.ndarray:
     """Kernel values for an (n, d) array of points."""
-    C = spec.support_halfwidth
-    vals = _base_1d(spec.family, V / C) / C
-    return vals.prod(axis=1)
+    out = eval_kernel_axis(spec, V[:, 0])
+    for j in range(1, V.shape[1]):
+        out = out * eval_kernel_axis(spec, V[:, j])
+    return out
 
 
 def eval_taper(spec: TaperSpec, w) -> float:
     """Bartlett taper at displacement w: max(0, 1 - ||w / b||)."""
-    return float(eval_taper_many(spec, np.asarray(w, dtype=float)[None, :])[0])
+    w = np.asarray(w, dtype=float)[None, :]
+    return float(eval_taper_pairs(spec, w, np.zeros_like(w))[0, 0])
 
 
-def eval_taper_many(spec: TaperSpec, W: np.ndarray) -> np.ndarray:
+def eval_taper_pairs(spec: TaperSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Kbar(X_i - Y_j) for every row pair of X (m1, d) and Y (m2, d)."""
     b = np.asarray(spec.widths, dtype=float)
-    r = np.sqrt(((W / b) ** 2).sum(axis=-1))
-    return np.maximum(0.0, 1.0 - r)
+    K = cdist(X / b, Y / b)
+    np.subtract(1.0, K, out=K)
+    return np.maximum(K, 0.0, out=K)
 
 
 def _base_moment_1d(family: str, a: int, r: int) -> float:

@@ -21,6 +21,9 @@ from .dataset import SpatialDataset
 
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
+# (row, site) kernel weights per block of fit_many: about half a megabyte
+# per (rows x sites) temporary
+BLOCK_PAIRS = 1 << 16
 
 
 class FitError(Exception):
@@ -106,65 +109,133 @@ class FitResult:
 def kernel_weights(
     dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z
 ) -> np.ndarray:
-    """K((X_i - A z) / (A h)) for every site: the weight vector of a fit at z."""
+    """K((X_i - A z) / (A h)) for every site: the weight vector of a fit at z.
+
+    For an (m, d) stack of points z the result is the (m, n) weight matrix.
+    """
     A = dataset.region.sides()
-    scaled = (dataset.sites - A * z) / (A * np.asarray(h, dtype=float))
-    return kernels.eval_kernel_many(kernel, scaled)
+    z = np.asarray(z, dtype=float)
+    w = 1.0
+    for j, hj in enumerate(h):
+        u = (dataset.sites[:, j] - A[j] * z[..., j, None]) / (A[j] * hj)
+        w = w * kernels.eval_kernel_axis(kernel, u)
+    return w
 
 
-def _check_interior(z: np.ndarray, d: int) -> None:
-    if z.shape != (d,):
+def _check_interior(Z: np.ndarray, d: int) -> None:
+    if Z.ndim != 2 or Z.shape[1] != d:
         raise ValueError(f"evaluation point must have dimension {d}")
-    if (np.abs(z) >= 0.5).any():
-        raise ValueError(f"evaluation point {z} is not in (-1/2, 1/2)^d")
+    outside = (np.abs(Z) >= 0.5).any(axis=1)
+    if outside.any():
+        raise ValueError(
+            f"evaluation point {Z[outside.argmax()]} is not in (-1/2, 1/2)^d"
+        )
 
 
 def fit_at(dataset: SpatialDataset, config: FitConfig, z) -> FitResult:
-    """Weighted least squares fit at z; raises FitError on degenerate windows."""
+    """Weighted least squares fit at z, the one-row case of fit_many.
+
+    Raises FitError on degenerate windows.
+    """
     z = np.asarray(z, dtype=float)
-    _check_interior(z, config.d)
-    layout = config.layout()
-    D = layout.D
-
-    w = kernel_weights(dataset, config.kernel, config.h, z)
-    active = np.flatnonzero(w > 0.0)
-    if active.size < D:
-        raise NoLocalData(
-            f"{active.size} sites in the kernel window at z={z}, need >= {D}"
-        )
-
-    A = dataset.region.sides()
-    t = (dataset.sites[active] - A * z) / A
-    counts = layout.counts_matrix()
-    X = np.empty((active.size, D))
-    for k in range(D):
-        col = np.ones(active.size)
-        for j in range(config.d):
-            c = counts[k, j]
-            if c:
-                col = col * t[:, j] ** c
-        X[:, k] = col
-
-    wa = w[active]
-    Xw = X * wa[:, None]
-    XWX = X.T @ Xw
-    XWY = Xw.T @ dataset.responses[active]
-
-    beta = _solve_spd(XWX, XWY, config.ridge_eps)
-
+    _check_interior(z[None], config.d)
+    beta, n_eff = _fit_block(dataset, config, z[None])
     ck = config.kernel.support_halfwidth
     boundary = bool(
         (np.abs(z) + ck * np.asarray(config.h) > 0.5).any()
     )
     return FitResult(
         z=z,
-        beta_hat=beta,
-        layout=layout,
+        beta_hat=beta[0],
+        layout=config.layout(),
         h=np.asarray(config.h, dtype=float),
         An=dataset.region.volume,
-        n_eff=int(active.size),
+        n_eff=int(n_eff[0]),
         boundary_flag=boundary,
     )
+
+
+def fit_many(dataset: SpatialDataset, config: FitConfig, Z):
+    """Local fits at every row of Z (m, d): coefficients (m, D) and n_eff (m,).
+
+    Row r equals the fit_at coefficients at Z[r]. The rows go through in
+    blocks of at most BLOCK_PAIRS (row, site) weights, so memory stays
+    bounded whatever m is.
+    """
+    Z = np.asarray(Z, dtype=float)
+    _check_interior(Z, config.d)
+    beta = np.empty((len(Z), config.layout().D))
+    n_eff = np.empty(len(Z), dtype=np.int64)
+    step = max(1, BLOCK_PAIRS // dataset.n)
+    for s in range(0, len(Z), step):
+        beta[s:s + step], n_eff[s:s + step] = _fit_block(
+            dataset, config, Z[s:s + step]
+        )
+    return beta, n_eff
+
+
+def _fit_block(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
+    """Normal equations of each row of Z on its sites of positive weight, solved.
+
+    The (row, site) pairs are compacted once, the monomials are built on
+    the pairs only, and each row's X'WX and X'WY are one GEMM on its slice.
+    """
+    layout = config.layout()
+    D = layout.D
+    W = kernel_weights(dataset, config.kernel, config.h, Z)
+    # row-major (row, site) pairs; one flat scan is faster than 2-D nonzero
+    flat = np.flatnonzero(W > 0.0)
+    rows = flat // dataset.n
+    cols = flat - rows * dataset.n
+    counts = np.bincount(rows, minlength=len(Z))
+    short = counts < D
+    if short.any():
+        r = short.argmax()
+        raise NoLocalData(
+            f"{counts[r]} sites in the kernel window at z={Z[r]}, need >= {D}"
+        )
+
+    # monomials of t = (X_i - A z) / A, one row per basis index: each index
+    # is its prefix times one more axis
+    A = dataset.region.sides()
+    t = [
+        (dataset.sites[cols, j] - (A[j] * Z[:, j])[rows]) / A[j]
+        for j in range(config.d)
+    ]
+    X = np.empty((D, rows.size))
+    X[0] = 1.0
+    for k, idx in enumerate(layout.indices[1:], start=1):
+        X[k] = X[layout.position(idx[:-1])] * t[idx[-1] - 1]
+    Xw = X * W.ravel()[flat]
+    y = dataset.responses[cols]
+
+    XWX = np.empty((len(Z), D, D))
+    XWY = np.empty((len(Z), D))
+    ends = np.cumsum(counts)
+    for r, (s, e) in enumerate(zip(ends - counts, ends)):
+        XWX[r] = X[:, s:e] @ Xw[:, s:e].T
+        XWY[r] = Xw[:, s:e] @ y[s:e]
+    return _solve_stack(XWX, XWY, config.ridge_eps), counts
+
+
+def _solve_stack(XWX: np.ndarray, XWY: np.ndarray, ridge_eps: float) -> np.ndarray:
+    """Solve a stack of normal equations; rows off the fast path use _solve_spd.
+
+    The fast path is the one _solve_spd takes first (2-norm condition within
+    COND_LIMIT, Cholesky succeeds), checked and solved for all rows at once.
+    """
+    M = XWX + ridge_eps * np.eye(XWX.shape[-1]) if ridge_eps > 0 else XWX
+    fast = np.linalg.cond(M) <= COND_LIMIT
+    beta = np.empty_like(XWY)
+    if fast.any():
+        try:
+            np.linalg.cholesky(M[fast])
+            beta[fast] = np.linalg.solve(M[fast], XWY[fast, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            fast[:] = False
+    for r in np.flatnonzero(~fast):
+        beta[r] = _solve_spd(XWX[r], XWY[r], ridge_eps)
+    return beta
 
 
 def _solve_spd(XWX: np.ndarray, XWY: np.ndarray, ridge_eps: float) -> np.ndarray:

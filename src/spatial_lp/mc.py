@@ -9,9 +9,12 @@ confidence-interval coverage of m(z).
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
+import operator
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -34,18 +37,73 @@ def paper_mean(z: np.ndarray) -> np.ndarray:
     return (10.0 * z[:, 0] + 15.0) * np.cos(z[:, 0] + z[:, 1] + 1.0)
 
 
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_FUNCTIONS = {"cos": np.cos, "sin": np.sin, "exp": np.exp}
+_AXIS = re.compile(r"x([1-9][0-9]*)")
+
+
+def _compile_mean(node):
+    """Evaluator z -> value of a whitelisted expression tree; else ValueError.
+
+    Allowed: numbers, x1..xd, + - * / **, unary minus and cos, sin, exp
+    of one argument.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)  # an int power tower would never finish
+        return lambda z: value
+    if isinstance(node, ast.Name) and _AXIS.fullmatch(node.id):
+        j = int(node.id[1:]) - 1
+
+        def axis(z):
+            if j >= z.shape[1]:
+                raise ValueError(f"mean expression uses {node.id} in d={z.shape[1]}")
+            return z[:, j]
+
+        return axis
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        left, right = _compile_mean(node.left), _compile_mean(node.right)
+        return lambda z: op(left(z), right(z))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _compile_mean(node.operand)
+        return lambda z: -operand(z)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _FUNCTIONS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        fn, arg = _FUNCTIONS[node.func.id], _compile_mean(node.args[0])
+        return lambda z: fn(arg(z))
+    raise ValueError(f"mean expression may not contain {ast.unparse(node)!r}")
+
+
 def make_mean_function(spec):
-    """Resolve a mean spec: builtin name or an expression in x1..xd (numpy ops)."""
+    """Resolve a mean spec: builtin name or an arithmetic expression in x1..xd.
+
+    Expressions are parsed, never executed; see _compile_mean for what they
+    may contain.
+    """
     if callable(spec):
         return spec
     if spec == "paper_mean":
         return paper_mean
+    try:
+        tree = ast.parse(spec, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"mean expression {spec!r} is not valid: {exc.msg}")
+    evaluate = _compile_mean(tree.body)
 
-    def expr_mean(z, _expr=spec):
+    def expr_mean(z):
         z = np.atleast_2d(z)
-        env = {"np": np, "cos": np.cos, "sin": np.sin, "exp": np.exp}
-        env.update({f"x{j + 1}": z[:, j] for j in range(z.shape[1])})
-        return np.broadcast_to(eval(_expr, {"__builtins__": {}}, env), (z.shape[0],))
+        return np.broadcast_to(evaluate(z), (z.shape[0],))
 
     return expr_mean
 
@@ -98,6 +156,7 @@ class ExperimentSpec:
         for hs in (self.fit_h, self.pilot_h, self.variance_h, self.taper_b):
             if any(v <= 0 for v in hs):
                 raise ValueError("bandwidths and taper widths must be positive")
+        make_mean_function(self.mean)  # a bad expression fails before any replication
 
     def region(self) -> Region:
         return Region(A=self.A)

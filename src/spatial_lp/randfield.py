@@ -113,7 +113,12 @@ def _superposition(kernel, sites: np.ndarray, knots: np.ndarray, jumps: np.ndarr
     r0, r1 = kernel
     if len(knots) == 0:
         return np.zeros(sites.shape[0])
-    return (r0 * np.exp(-r1 * cdist(sites, knots))) @ jumps
+    # one n x knots array, transformed in place: r0 exp(-r1 ||x - a||)
+    phi = cdist(sites, knots)
+    phi *= -r1
+    np.exp(phi, out=phi)
+    phi *= r0
+    return phi @ jumps
 
 
 def simulate_field(

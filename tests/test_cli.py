@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from spatial_lp import cli
+from spatial_lp import cli, lpfit
 from spatial_lp.dataset import load_csv
 
 
@@ -116,6 +116,32 @@ def test_fit_grid_with_intervals(tmp_path, sim_data):
     for r in rows:
         assert float(r["ci_lo"]) < float(r["ci_hi"])
         assert float(r["W_hat"]) >= 0.0
+
+
+def test_fit_grid_fits_each_window_site_once(tmp_path, sim_data, monkeypatch):
+    fitted = []
+    fit_many = lpfit.fit_many
+
+    def counting_fit_many(dataset, config, Z):
+        fitted.extend(tuple(z) for z in Z)
+        return fit_many(dataset, config, Z)
+
+    monkeypatch.setattr(lpfit, "fit_many", counting_fit_many)
+    h, grid = 0.25, [(0.0, 0.0), (0.05, 0.0)]
+    cfg = _write(
+        tmp_path / "fit.json",
+        {"p": 1, "h": [h, h], "z_grid": [[0.0, 0.05], [0.0]], "taper_b": [2.0, 2.0]},
+    )
+    out = tmp_path / "fit_out"
+    argv = ["fit", "--config", cfg, "--data", str(sim_data), "--out", str(out)]
+    assert cli.main(argv) == 0
+    rescaled = load_csv(sim_data).rescaled_sites()
+    windows = [
+        {tuple(x) for x in rescaled[(np.abs(rescaled - z) < h).all(axis=1)]}
+        for z in grid
+    ]
+    assert len(windows[0] & windows[1]) > 0
+    assert sorted(fitted) == sorted(windows[0] | windows[1])
 
 
 def test_fit_requires_evaluation_points(tmp_path, sim_data):

@@ -54,7 +54,7 @@ def test_variance_zero_for_exact_residuals():
     data = _dataset(500, 1, mean=mean, noise=0.0)
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
     est = inference.variance_hat(
-        data, lambda z: float(mean(np.atleast_2d(z))[0]), KERN, (0.25, 0.25),
+        data, lambda Z: mean(np.atleast_2d(Z)), KERN, (0.25, 0.25),
         taper, (0.0, 0.0),
     )
     assert est.W1_hat == pytest.approx(0.0, abs=1e-20)
@@ -173,13 +173,13 @@ def test_two_sample_variance_positive_for_independent_samples():
 
 def test_two_sample_variance_fits_each_window_residual_once(monkeypatch):
     fits = []
-    fit_at = lpfit.fit_at
+    fit_many = lpfit.fit_many
 
-    def counting_fit_at(dataset, config, z):
-        fits.append((id(dataset), tuple(np.round(z, 12))))
-        return fit_at(dataset, config, z)
+    def counting_fit_many(dataset, config, Z):
+        fits.extend((id(dataset), tuple(np.round(z, 12))) for z in Z)
+        return fit_many(dataset, config, Z)
 
-    monkeypatch.setattr(lpfit, "fit_at", counting_fit_at)
+    monkeypatch.setattr(lpfit, "fit_many", counting_fit_many)
     d1, d2 = _dataset(400, 5), _dataset(300, 6)
     h, z = (0.25, 0.25), np.array([0.05, -0.05])
     config = lpfit.FitConfig(p=1, kernel=KERN, h=h)

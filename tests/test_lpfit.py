@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatial_lp import basis, kernels, lpfit
 from spatial_lp.dataset import Region, SpatialDataset
@@ -200,3 +202,134 @@ def test_select_bandwidth_failure_paths():
             lpfit.select_bandwidth(
                 data, loose, (0.0, 0.0), (), [0.001, 0.002], 1.0
             )
+
+
+# --- batched fits: properties at random (d, p, Z) ---------------------------
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+@st.composite
+def _batches(draw, lo=-0.3, hi=0.3):
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 7))
+    coord = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    Z = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                               min_size=m, max_size=m)))
+    return d, p, Z, draw(st.integers(0, 2**32 - 1))
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@PROPERTY
+@given(_batches(), st.integers(1, 4))
+def test_fit_many_equals_stacked_single_fits(batch, block_rows):
+    d, p, Z, seed = batch
+    rng = np.random.default_rng(seed)
+    data = _uniform_dataset(d, 400, seed, lambda u: rng.standard_normal(len(u)))
+    config = _config(d, p, 0.3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpfit, "BLOCK_PAIRS", block_rows * data.n)
+        beta, n_eff = lpfit.fit_many(data, config, Z)
+    single = [lpfit.fit_at(data, config, z) for z in Z]
+    assert _rel_err(beta, np.stack([f.beta_hat for f in single])) <= 1e-12
+    assert n_eff.tolist() == [f.n_eff for f in single]
+
+
+@PROPERTY
+@given(_batches())
+def test_fit_many_reproduces_polynomials(batch):
+    d, p, Z, seed = batch
+    layout = basis.build_layout(d, p)
+    coeffs = np.random.default_rng(seed).uniform(-2, 2, layout.D)
+    mean = _poly_mean(layout, coeffs, Z[0])
+    data = _uniform_dataset(d, 400, seed, mean)
+    beta, _ = lpfit.fit_many(data, _config(d, p, 0.3), Z)
+    np.testing.assert_allclose(beta[0], coeffs, atol=1e-9)
+    np.testing.assert_allclose(beta[:, 0], mean(Z), atol=1e-9)
+
+
+@PROPERTY
+@given(_batches())
+def test_fit_many_invariant_under_site_permutation(batch):
+    d, p, Z, seed = batch
+    rng = np.random.default_rng(seed)
+    data = _uniform_dataset(d, 400, seed, lambda u: rng.standard_normal(len(u)))
+    perm = rng.permutation(data.n)
+    shuffled = SpatialDataset(
+        region=data.region, sites=data.sites[perm], responses=data.responses[perm]
+    )
+    config = _config(d, p, 0.3)
+    beta, n_eff = lpfit.fit_many(data, config, Z)
+    beta_s, n_eff_s = lpfit.fit_many(shuffled, config, Z)
+    assert _rel_err(beta_s, beta) <= 1e-12
+    assert n_eff_s.tolist() == n_eff.tolist()
+
+
+@PROPERTY
+@given(_batches(lo=-0.4, hi=-0.3), st.booleans(), st.integers(0, 7))
+def test_degenerate_row_raises_as_its_single_fit(batch, coincident, where):
+    """Sites fill x1 < 0, plus D coincident sites at 0.4 A on every axis.
+
+    A row at the cluster is rank deficient, a row elsewhere in x1 > 0 has
+    no local data; the batch raises what the single fit of that row raises.
+    """
+    d, p, Z, seed = batch
+    layout = basis.build_layout(d, p)
+    A = 10.0
+    rng = np.random.default_rng(seed)
+    left = rng.uniform(-A / 2, A / 2, (2000, d))
+    left[:, 0] = -np.abs(left[:, 0])
+    cluster = np.full((layout.D, d), 0.4 * A)
+    sites = np.vstack([left, cluster])
+    data = SpatialDataset(
+        region=Region(A=(A,) * d), sites=sites, responses=rng.standard_normal(len(sites))
+    )
+    bad = np.full(d, 0.4) if coincident else np.full(d, 0.2)
+    config = _config(d, p, 0.15)
+    with pytest.raises(lpfit.FitError) as single:
+        lpfit.fit_at(data, config, bad)
+    expected = lpfit.RankDeficient if coincident else lpfit.NoLocalData
+    assert type(single.value) is expected
+    Z = np.insert(Z, min(where, len(Z)), bad, axis=0)
+    with pytest.raises(expected):
+        lpfit.fit_many(data, config, Z)
+
+
+def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
+    """Sites on a line (jitter 1e-7) make a window full rank but over COND_LIMIT.
+
+    Only that row of the batch goes through _solve_spd, and every row
+    matches its single fit.
+    """
+    rng = np.random.default_rng(8)
+    A = 10.0
+    left = np.column_stack(
+        [rng.uniform(-A / 2, 0.0, 400), rng.uniform(-A / 2, A / 2, 400)]
+    )
+    line = np.column_stack(
+        [rng.uniform(0.2 * A, 0.45 * A, 60), A * (0.3 + 1e-7 * rng.standard_normal(60))]
+    )
+    sites = np.vstack([left, line])
+    data = SpatialDataset(
+        region=Region(A=(A, A)), sites=sites, responses=rng.standard_normal(len(sites))
+    )
+    config = _config(2, 1, 0.1)
+    Z = np.array([[-0.3, 0.0], [0.33, 0.3], [-0.25, 0.1]])
+    single = np.stack([lpfit.fit_at(data, config, z).beta_hat for z in Z])
+
+    rescued = []
+    solve_spd = lpfit._solve_spd
+
+    def counting_solve_spd(XWX, XWY, ridge_eps):
+        rescued.append(np.linalg.cond(XWX))
+        return solve_spd(XWX, XWY, ridge_eps)
+
+    monkeypatch.setattr(lpfit, "_solve_spd", counting_solve_spd)
+    beta, _ = lpfit.fit_many(data, config, Z)
+    assert len(rescued) == 1
+    assert lpfit.COND_LIMIT < rescued[0] < 1.0 / np.finfo(float).eps
+    assert _rel_err(beta, single) <= 1e-12

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,49 @@ def test_make_mean_function():
 
     h = mc.make_mean_function(lambda z: z[:, 0])
     np.testing.assert_allclose(h(np.array([[0.4, 0.0]])), [0.4])
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "().__class__",
+        "().__class__.__base__.__subclasses__()",
+        "x1.real",
+        "x1[0]",
+        "np.cos(x1)",
+        "__import__('os')",
+        "[x1]",
+        "x1 if x2 else 1",
+        "cos(x1, x2)",
+        "x1 % 2",
+        "True",
+        "x1 +",
+    ],
+)
+def test_mean_expression_outside_whitelist_is_rejected(expr):
+    with pytest.raises(ValueError):
+        mc.make_mean_function(expr)
+    with pytest.raises(ValueError):
+        mc.ExperimentSpec(reps=1, n=100, A=(10.0, 10.0), mean=expr)
+
+
+def test_mean_expression_whitelist():
+    z = np.array([[0.1, 0.2], [0.3, -0.1]])
+    f = mc.make_mean_function("-x1**2 + 3*cos(x2) - exp(x1)/sin(x2 + 1)")
+    x1, x2 = z[:, 0], z[:, 1]
+    np.testing.assert_allclose(
+        f(z), -x1**2 + 3 * np.cos(x2) - np.exp(x1) / np.sin(x2 + 1), rtol=1e-15
+    )
+    with pytest.raises(ValueError):
+        mc.make_mean_function("x3")(z)
+
+
+def test_bundled_configs_resolve_their_mean():
+    configs = sorted((Path(mc.__file__).parent / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        f = mc.make_mean_function(json.loads(path.read_text())["mean"])
+        assert np.isfinite(f(np.zeros((3, 2)))).all()
 
 
 def test_error_case_field_model():
