@@ -9,7 +9,7 @@ moment matrices are exact up to floating point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -143,11 +143,20 @@ class MomentMatrices:
     Kcal: np.ndarray
     B: np.ndarray
     kappa0_r2: float
+    _sks: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        Sinv = np.linalg.inv(self.S)
+        sks = Sinv @ self.Kcal @ Sinv
+        sks.setflags(write=False)
+        object.__setattr__(self, "_sks", sks)
 
     def sks(self) -> np.ndarray:
-        """S^{-1} Kcal S^{-1}, the sandwich appearing in every variance."""
-        Sinv = np.linalg.inv(self.S)
-        return Sinv @ self.Kcal @ Sinv
+        """S^{-1} Kcal S^{-1}, the sandwich appearing in every variance.
+
+        Computed once per object; the read-only array is shared by callers.
+        """
+        return self._sks
 
 
 def moment_matrices(spec: KernelSpec, layout) -> MomentMatrices:

@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 from scipy.spatial.distance import cdist
 
 from .dataset import Region
 
 GAUSSIAN_EXACT_MAX_N = 4000
+
+# site-knot pairs per row block of the superposition (lpfit's budget)
+BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,15 +113,28 @@ def _draw_knots(model: FieldModel, region: Region, rng: np.random.Generator):
 
 
 def _superposition(kernel, sites: np.ndarray, knots: np.ndarray, jumps: np.ndarray):
+    """sum_j jumps_j r0 exp(-r1 ||x - a_j||) at every site, in row blocks.
+
+    A block holds at most BLOCK_PAIRS site-knot pairs, so memory stays
+    O(block) whatever the site and knot counts.
+    """
     r0, r1 = kernel
+    n = sites.shape[0]
+    out = np.zeros(n)
     if len(knots) == 0:
-        return np.zeros(sites.shape[0])
-    # one n x knots array, transformed in place: r0 exp(-r1 ||x - a||)
-    phi = cdist(sites, knots)
-    phi *= -r1
-    np.exp(phi, out=phi)
-    phi *= r0
-    return phi @ jumps
+        return out
+    step = max(1, BLOCK_PAIRS // len(knots))
+    buf = np.empty((min(step, n), len(knots)))
+    for s in range(0, n, step):
+        block = sites[s : s + step]
+        phi = cdist(block, knots, out=buf[: len(block)])
+        phi *= -r1
+        np.exp(phi, out=phi)
+        phi *= r0
+        # einsum without optimize runs its own C loop on this thread; a BLAS
+        # GEMV would wake a worker thread that then spins for the whole run
+        np.einsum("ij,j->i", phi, jumps, out=out[s : s + step])
+    return out
 
 
 def simulate_field(
@@ -199,22 +215,36 @@ def field_variance(model: FieldModel, d: int = 2) -> float:
 
 def _gaussian_exact(model: FieldModel, sites: np.ndarray, rng) -> np.ndarray:
     n, d = sites.shape
-    r0, r1 = model.kernels[0]
-    dist = cdist(sites, sites)
-    if d == 1:
-        prof = r0 * r0 * np.exp(-r1 * dist) * (dist + 1.0 / r1)
-    elif d == 2:
-        prof = np.empty_like(dist)
-        zero = dist == 0.0
-        prof[zero] = r0 * r0 * math.pi / (2.0 * r1 * r1)
-        td = dist[~zero]
-        prof[~zero] = r0 * r0 * math.pi * td * td * special.kv(2, r1 * td) / 4.0
-    else:
+    if d not in (1, 2):
         raise ValueError(f"Gaussian exact sampling unsupported for d={d}")
-    cov = model.tau2 * prof
+    r0, r1 = model.kernels[0]
+    # the covariance is built in place on the distance matrix, with one
+    # second n x n array for the exp / K_2 factor
+    cov = cdist(sites, sites)
+    if d == 1:
+        # r0^2 e^{-r1 t} (t + 1/r1)
+        factor = np.multiply(cov, -r1)
+        np.exp(factor, out=factor)
+        cov += 1.0 / r1
+        cov *= factor
+        cov *= model.tau2 * r0 * r0
+    else:
+        # r0^2 pi t^2 K_2(r1 t) / 4, with its limit pi r0^2 / (2 r1^2) at t = 0;
+        # the mask comes first, as K_2(0) = inf and inf * 0 is nan
+        zero = cov == 0.0
+        cov *= r1
+        factor = special.kv(2, cov)
+        factor[zero] = 0.0
+        cov *= cov
+        cov *= factor
+        cov *= model.tau2 * r0 * r0 * math.pi / (4.0 * r1 * r1)
+        cov[zero] = model.tau2 * r0 * r0 * math.pi / (2.0 * r1 * r1)
+    del factor
     # tiny jitter keeps the factorization stable for near-coincident sites
-    cov[np.diag_indices(n)] += 1e-12 * cov.diagonal().max()
-    L = np.linalg.cholesky(cov)
+    cov.flat[:: n + 1] += 1e-12 * cov.diagonal().max()
+    # cov is symmetric, so cov.T is the same matrix in the Fortran order
+    # that LAPACK factors in place; cov itself would be copied first
+    L = linalg.cholesky(cov.T, lower=True, overwrite_a=True)
     return L @ rng.standard_normal(n)
 
 

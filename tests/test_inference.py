@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spatial_lp import basis, inference, kernels, lpfit
 from spatial_lp.dataset import Region, SpatialDataset
@@ -103,6 +105,42 @@ def test_variance_hat_with_fitted_residuals_runs():
 
 
 # --- intervals -------------------------------------------------------------
+
+
+@st.composite
+def _tapered_windows(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(20, 150))
+    h = tuple(draw(st.floats(0.15, 0.4)) for _ in range(d))
+    b = tuple(draw(st.floats(0.05, 8.0)) for _ in range(d))
+    z = tuple(draw(st.floats(-0.3, 0.3)) for _ in range(d))
+    return d, n, h, b, z, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tapered_windows())
+def test_W_hat_nonnegative_when_taper_matrix_is_psd(window):
+    """W_hat is a quadratic form in the residuals, so a PSD taper keeps it >= 0.
+
+    The radial Bartlett taper is not positive definite in 2-D in general, so
+    only windows whose taper matrix is PSD are drawn.
+    """
+    d, n, h, b, z, seed = window
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(-5.0, 5.0, (n, d))
+    data = SpatialDataset(
+        region=Region(A=(10.0,) * d), sites=sites, responses=rng.standard_normal(n)
+    )
+    slope = rng.uniform(-2.0, 2.0, d)
+    mhat = lambda Z: 0.3 + Z @ slope
+    kern = kernels.KernelSpec(family="product-triangular", d=d)
+    taper = kernels.TaperSpec(widths=b)
+    X, _ = inference._window_residuals(data, kern, h, z, mhat)
+    assume(len(X) > 0)
+    eig = np.linalg.eigvalsh(kernels.eval_taper_pairs(taper, X, X))
+    assume(eig.min() >= -1e-12 * eig.max())
+    est = inference.variance_hat(data, mhat, kern, h, taper, z)
+    assert est.W_hat >= 0.0
 
 
 def test_interval_halfwidth_formula():

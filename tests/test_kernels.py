@@ -110,6 +110,17 @@ def test_sks_sandwich_d2_p1():
     np.testing.assert_allclose(sks, np.diag([4 / 9, 72 / 45, 72 / 45]), atol=1e-10)
 
 
+def test_sks_is_computed_once_and_read_only():
+    spec = kernels.KernelSpec(family="product-epanechnikov", d=2)
+    mom = kernels.moment_matrices(spec, basis.build_layout(2, 2))
+    sks = mom.sks()
+    assert mom.sks() is sks
+    Sinv = np.linalg.inv(mom.S)
+    np.testing.assert_allclose(sks, Sinv @ mom.Kcal @ Sinv, rtol=1e-14)
+    with pytest.raises(ValueError):
+        sks[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("family", kernels.FAMILIES)
 @pytest.mark.parametrize("a", [0, 1, 2, 3, 4, 6, 8])
 @pytest.mark.parametrize("r", [1, 2])

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -189,3 +192,39 @@ def test_write_outputs(tmp_path):
         hist = list(csv.DictReader(f))
     assert len(hist) == len(summary.hist_counts)
     assert sum(int(r["count"]) for r in hist) == len(summary.t_values)
+
+
+SPIN_PROBE = """
+import time
+from spatial_lp import mc
+# Table-1 case (ii): n = 1000, CAR(1) field on 800 knots
+spec = mc.ExperimentSpec(
+    reps=20, n=1000, A=(10.0, 10.0), master_seed=20220718,
+    error=mc.ErrorCase(
+        "car1", sigma2=0.01, lam=1.0, tau2=0.01, n_knots=800, buffer=2.0
+    ),
+)
+mc.run_replication(spec, 0)
+cpu0, thread0 = time.process_time(), time.thread_time()
+for rep in range(spec.reps):
+    mc.run_replication(spec, rep)
+print(time.process_time() - cpu0, time.thread_time() - thread0)
+"""
+
+
+def test_replication_leaves_blas_workers_idle():
+    """Case-(ii) replications use no CPU off the calling thread.
+
+    A BLAS call large enough to go multi-threaded wakes worker threads that
+    then busy-wait: process CPU time runs ahead of the calling thread's.
+    Runs in a fresh interpreter so the BLAS threads are the library default.
+    On a one-core host BLAS starts no workers, and the check passes trivially.
+    """
+    src = str(Path(mc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", SPIN_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    process_s, thread_s = map(float, out.stdout.split())
+    assert process_s - thread_s <= 0.25 * thread_s

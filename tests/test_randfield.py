@@ -1,7 +1,11 @@
 """Moving-average field simulation and its exponential-kernel covariance."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special
+from scipy.spatial.distance import cdist
 
 from spatial_lp import randfield
 from spatial_lp.dataset import Region
@@ -151,6 +155,104 @@ def test_knot_region_buffer():
     np.testing.assert_allclose(
         randfield._knot_halfwidths(auto, region), [5.0 + margin, 2.0 + margin]
     )
+
+
+# --- superposition in row blocks -------------------------------------------
+
+
+def _dense_superposition(kernel, sites, knots, jumps):
+    """The one-array reference: r0 exp(-r1 ||x - a||) @ jumps."""
+    r0, r1 = kernel
+    return r0 * np.exp(-r1 * cdist(sites, knots)) @ jumps
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+def test_superposition_matches_dense_reference(block_rows):
+    rng = np.random.default_rng(8)
+    sites = rng.uniform(-5.0, 5.0, (52, 2))  # 52 is not a multiple of 7
+    knots = rng.uniform(-10.0, 10.0, (30, 2))
+    jumps = rng.normal(0.0, 0.1, 30)
+    kernel = (1.5, 0.7)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(randfield, "BLOCK_PAIRS", block_rows * len(knots))
+        e = randfield._superposition(kernel, sites, knots, jumps)
+    ref = _dense_superposition(kernel, sites, knots, jumps)
+    assert e.shape == (52,)
+    assert _rel_err(e, ref) <= 1e-12
+
+
+def test_superposition_edge_cases():
+    rng = np.random.default_rng(9)
+    sites = rng.uniform(-5.0, 5.0, (6, 2))
+    kernel = (1.0, 1.0)
+    np.testing.assert_array_equal(
+        randfield._superposition(kernel, sites, np.zeros((0, 2)), np.zeros(0)),
+        np.zeros(6),
+    )
+    one_knot, one_jump = np.array([[0.5, -0.5]]), np.array([0.3])
+    e = randfield._superposition(kernel, sites, one_knot, one_jump)
+    ref = _dense_superposition(kernel, sites, one_knot, one_jump)
+    assert _rel_err(e, ref) <= 1e-12
+    knots, jumps = rng.uniform(-10.0, 10.0, (40, 2)), rng.normal(size=40)
+    e = randfield._superposition(kernel, sites[:1], knots, jumps)
+    ref = _dense_superposition(kernel, sites[:1], knots, jumps)
+    assert e.shape == (1,)
+    assert _rel_err(e, ref) <= 1e-12
+
+
+def test_bivariate_matches_dense_reference():
+    region = Region(A=(10.0, 10.0))
+    model = randfield.FieldModel(
+        kernels=((1.0, 0.5), (2.0, 2.0)), tau2=0.01, n_knots=300
+    )
+    sites1, sites2 = _sites(region, 23, 5), _sites(region, 17, 6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randfield, "BLOCK_PAIRS", 7 * model.n_knots)
+        e1, e2 = randfield.simulate_bivariate(model, region, sites1, sites2, 13)
+    rng = np.random.default_rng(13)
+    knots, _ = randfield._draw_knots(model, region, rng)
+    jumps = rng.normal(0.0, np.sqrt(model.tau2), len(knots))
+    for e, kernel, sites in zip((e1, e2), model.kernels, (sites1, sites2)):
+        assert _rel_err(e, _dense_superposition(kernel, sites, knots, jumps)) <= 1e-12
+
+
+# --- Gaussian measure, exact sampling ---------------------------------------
+
+
+def _gaussian_exact_reference(model, sites, rng):
+    """The covariance as first written: one fresh n x n array per step."""
+    n, d = sites.shape
+    r0, r1 = model.kernels[0]
+    dist = cdist(sites, sites)
+    if d == 1:
+        prof = r0 * r0 * np.exp(-r1 * dist) * (dist + 1.0 / r1)
+    else:
+        prof = np.empty_like(dist)
+        zero = dist == 0.0
+        prof[zero] = r0 * r0 * np.pi / (2.0 * r1 * r1)
+        td = dist[~zero]
+        prof[~zero] = r0 * r0 * np.pi * td * td * special.kv(2, r1 * td) / 4.0
+    cov = model.tau2 * prof
+    cov[np.diag_indices(n)] += 1e-12 * cov.diagonal().max()
+    L = np.linalg.cholesky(cov)
+    return L @ rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gaussian_exact_matches_reference_formula(d):
+    region = Region(A=(10.0,) * d)
+    model = randfield.car1(0.8, measure="gaussian", tau2=0.5)
+    sites = _sites(region, 300, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = randfield.simulate_field(model, region, sites, 4)
+    ref = _gaussian_exact_reference(model, sites, np.random.default_rng(4))
+    assert _rel_err(e, ref) <= 1e-8
 
 
 # --- noise model ----------------------------------------------------------
