@@ -16,11 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels, mc, randfield
-from .basis import parse_index
+from . import __version__, kernels, mc
+from .basis import build_layout, parse_index
 from .dataset import (
-    Region,
-    SamplingDensity,
     SpatialDataset,
     generate_sites,
     load_csv,
@@ -77,12 +75,6 @@ def _load_config(path, allowed: set) -> dict:
     return _Config(cfg)
 
 
-def _density(cfg) -> SamplingDensity:
-    if cfg is None:
-        return SamplingDensity("uniform")
-    return SamplingDensity(kind=cfg.get("kind", "uniform"), params=cfg.get("params", {}))
-
-
 def _kernel(cfg, d) -> kernels.KernelSpec:
     cfg = cfg or {}
     return kernels.KernelSpec(
@@ -101,46 +93,22 @@ SIMULATE_KEYS = {"n", "A", "density", "mean", "error", "seed"}
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config, SIMULATE_KEYS)
-    region = Region(A=tuple(cfg["A"]))
-    density = _density(cfg.get("density"))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    spec = mc.ExperimentSpec(
-        reps=1,
-        n=cfg["n"],
-        A=tuple(cfg["A"]),
-        density=density,
-        mean=cfg.get("mean", "paper_mean"),
-        error=_error_case(cfg.get("error")),
-        master_seed=seed,
-    )
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    # one draw of the mc response model: replication 0 of a one-rep spec
+    spec = mc.ExperimentSpec.from_config(_Config(cfg, reps=1), master_seed=seed)
+    region, density, seed = spec.region(), spec.density, spec.master_seed
     rng = rep_rng(seed, 0)
-    sites = generate_sites(region, density, cfg["n"], rng)
+    sites = generate_sites(region, density, spec.n, rng)
     y = mc.simulate_responses(spec, sites, rng)
     dataset = SpatialDataset(region=region, sites=sites, responses=y)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out / "data.csv")
     save_metadata(
-        out / "data.meta.json", region=region, n=cfg["n"], seed=seed, density=density
+        out / "data.meta.json", region=region, n=spec.n, seed=seed, density=density
     )
     (out / "provenance.json").write_text(json.dumps(_provenance(cfg), indent=2))
     return 0
-
-
-def _error_case(cfg) -> mc.ErrorCase:
-    if cfg is None:
-        return mc.ErrorCase("iid", sigma2=1.0)
-    kind = cfg.get("kind", "iid")
-    if kind == "iid":
-        return mc.ErrorCase("iid", sigma2=cfg.get("sigma2", 1.0))
-    return mc.ErrorCase(
-        "car1",
-        sigma2=cfg.get("sigma2", 0.01),
-        lam=cfg.get("lambda", 1.0),
-        tau2=cfg.get("tau2", 0.01),
-        n_knots=cfg.get("n_knots", 800),
-        buffer=cfg.get("buffer", 2.0),
-    )
 
 
 def _fitted_once(mhat):
@@ -251,28 +219,12 @@ MC_KEYS = {
 
 def cmd_mc(args) -> int:
     cfg = _load_config(args.config, MC_KEYS)
-    kern_cfg = cfg.get("kernel", {})
-    spec = mc.ExperimentSpec(
-        reps=cfg["reps"],
-        n=cfg["n"],
-        A=tuple(cfg["A"]),
-        density=_density(cfg.get("density")),
-        mean=cfg.get("mean", "paper_mean"),
-        mean_offset=cfg.get("mean_offset", 0.0),
-        error=_error_case(cfg.get("error")),
-        p=cfg.get("p", 1),
-        kernel_family=kern_cfg.get("family", "product-triangular"),
-        C_K=kern_cfg.get("C_K", 1.0),
-        fit_h=tuple(cfg.get("fit_h", (0.2, 0.2))),
-        pilot_h=tuple(cfg.get("pilot_h", (0.25, 0.25))),
-        variance_h=tuple(cfg.get("variance_h", (0.25, 0.25))),
-        taper_b=tuple(cfg.get("taper_b", (8.0, 8.0))),
-        z=tuple(cfg.get("z", (0.0,) * len(cfg["A"]))),
-        tau=cfg.get("tau", 0.05),
-        master_seed=args.seed if args.seed is not None else cfg.get("master_seed", 0),
-        outlier_threshold=cfg.get("outlier_threshold", -10.0),
-    )
-    summary = mc.run_experiment(spec, threads=args.threads)
+    spec = mc.ExperimentSpec.from_config(cfg, master_seed=args.seed)
+    try:
+        summary = mc.run_experiment(spec, threads=args.threads)
+    except mc.ReplicationsFailed as exc:
+        print(f"error: mc: {exc}", file=sys.stderr)
+        return 2
     summary.metadata["provenance"] = _provenance(cfg)
     mc.write_outputs(summary, args.out)
     max_frac = cfg.get("max_failure_fraction", 0.05)
@@ -328,9 +280,8 @@ MOMENTS_KEYS = {"d", "p", "kernel"}
 def cmd_moments(args) -> int:
     cfg = _load_config(args.config, MOMENTS_KEYS)
     d, p = cfg.get("d", 2), cfg.get("p", 1)
-    kern = _kernel(cfg.get("kernel"), d)
-    config = FitConfig(p=p, kernel=kern, h=(0.1,) * d)
-    mom = config.moments()
+    layout = build_layout(d, p)
+    mom = kernels.moment_matrices(_kernel(cfg.get("kernel"), d), layout)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -338,8 +289,8 @@ def cmd_moments(args) -> int:
         "Kcal": mom.Kcal.tolist(),
         "B": mom.B.tolist(),
         "kappa0_r2": mom.kappa0_r2,
-        "indices": ["".join(map(str, i)) for i in config.layout().indices],
-        "top_indices": ["".join(map(str, i)) for i in config.layout().top_indices],
+        "indices": ["".join(map(str, i)) for i in layout.indices],
+        "top_indices": ["".join(map(str, i)) for i in layout.top_indices],
         "provenance": _provenance(cfg),
     }
     (out / "moments.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -357,11 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="overrides seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit the trend surface at points")
@@ -371,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="run a Monte Carlo coverage experiment")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="overrides master_seed")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("two-sample", help="test equality of derivatives")

@@ -58,7 +58,7 @@ class SamplingDensity:
                        integrate to 1
     """
 
-    kind: str
+    kind: str = "uniform"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):

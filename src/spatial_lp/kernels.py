@@ -42,11 +42,8 @@ class TaperSpec:
     """Radial Bartlett taper with per-axis widths b (original coordinates)."""
 
     widths: tuple[float, ...]
-    family: str = "bartlett-radial"
 
     def __post_init__(self):
-        if self.family != "bartlett-radial":
-            raise ValueError(f"unknown taper family {self.family!r}")
         if any(b <= 0 for b in self.widths):
             raise ValueError("taper widths must be positive")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -46,7 +46,6 @@ class FitConfig:
     kernel: kernels.KernelSpec
     h: tuple[float, ...]
     pilot_h: tuple[float, ...] | None = None
-    ridge_eps: float = 0.0
 
     def __post_init__(self):
         if any(hj <= 0 for hj in self.h):
@@ -91,19 +90,11 @@ class FitResult:
     n_eff: int
     boundary_flag: bool
     bias_hat: np.ndarray | None = None
-    Wn_hat: float | None = None
-    ci: dict = field(default_factory=dict)
 
     def derivative(self, idx) -> float:
         idx = tuple(idx)
         k = self.layout.position(idx)
         return float(basis.s_factorial(idx) * self.beta_hat[k])
-
-    @property
-    def derivatives(self) -> dict:
-        return {
-            idx: self.derivative(idx) for idx in self.layout.indices
-        }
 
 
 def kernel_weights(
@@ -215,33 +206,30 @@ def _fit_block(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
     for r, (s, e) in enumerate(zip(ends - counts, ends)):
         XWX[r] = X[:, s:e] @ Xw[:, s:e].T
         XWY[r] = Xw[:, s:e] @ y[s:e]
-    return _solve_stack(XWX, XWY, config.ridge_eps), counts
+    return _solve_stack(XWX, XWY), counts
 
 
-def _solve_stack(XWX: np.ndarray, XWY: np.ndarray, ridge_eps: float) -> np.ndarray:
+def _solve_stack(XWX: np.ndarray, XWY: np.ndarray) -> np.ndarray:
     """Solve a stack of normal equations; rows off the fast path use _solve_spd.
 
     The fast path is the one _solve_spd takes first (2-norm condition within
     COND_LIMIT, Cholesky succeeds), checked and solved for all rows at once.
     """
-    M = XWX + ridge_eps * np.eye(XWX.shape[-1]) if ridge_eps > 0 else XWX
-    fast = np.linalg.cond(M) <= COND_LIMIT
+    fast = np.linalg.cond(XWX) <= COND_LIMIT
     beta = np.empty_like(XWY)
     if fast.any():
         try:
-            np.linalg.cholesky(M[fast])
-            beta[fast] = np.linalg.solve(M[fast], XWY[fast, :, None])[..., 0]
+            np.linalg.cholesky(XWX[fast])
+            beta[fast] = np.linalg.solve(XWX[fast], XWY[fast, :, None])[..., 0]
         except np.linalg.LinAlgError:
             fast[:] = False
     for r in np.flatnonzero(~fast):
-        beta[r] = _solve_spd(XWX[r], XWY[r], ridge_eps)
+        beta[r] = _solve_spd(XWX[r], XWY[r])
     return beta
 
 
-def _solve_spd(XWX: np.ndarray, XWY: np.ndarray, ridge_eps: float) -> np.ndarray:
+def _solve_spd(XWX: np.ndarray, XWY: np.ndarray) -> np.ndarray:
     D = XWX.shape[0]
-    if ridge_eps > 0:
-        XWX = XWX + ridge_eps * np.eye(D)
     cond = np.linalg.cond(XWX)
     if cond <= COND_LIMIT:
         try:
@@ -258,11 +246,6 @@ def _solve_spd(XWX: np.ndarray, XWY: np.ndarray, ridge_eps: float) -> np.ndarray
     ridged = XWX + RIDGE_SCALE * np.trace(XWX) * np.eye(D)
     c, low = linalg.cho_factor(ridged)
     return linalg.cho_solve((c, low), XWY)
-
-
-def fit_mean_at(dataset: SpatialDataset, config: FitConfig, z) -> float:
-    """Convenience: intercept of the local fit, i.e. the mean estimate m_hat(z)."""
-    return float(fit_at(dataset, config, z).beta_hat[0])
 
 
 def top_order_moment_vector(

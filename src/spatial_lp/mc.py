@@ -108,25 +108,39 @@ def make_mean_function(spec):
     return expr_mean
 
 
+# measurement-noise variance of each error kind when none is given
+SIGMA2 = {"iid": 1.0, "car1": 0.01}
+
+# bandwidths and taper widths of the Table-1 cases: defaults in d = 2 only
+TABLE1 = {
+    "fit_h": (0.2, 0.2), "pilot_h": (0.25, 0.25), "variance_h": (0.25, 0.25),
+    "taper_b": (8.0, 8.0),
+}
+
+
 @dataclass(frozen=True)
 class ErrorCase:
     """Error process: pure measurement noise or CAR(1)-plus-noise."""
 
-    kind: str  # "iid" or "car1"
-    sigma2: float = 1.0
+    kind: str = "iid"  # a key of SIGMA2
+    sigma2: float | None = None  # None: SIGMA2[kind]
     lam: float = 1.0
     tau2: float = 0.01
     n_knots: int | None = 800
     buffer: float = 2.0
 
+    def __post_init__(self):
+        if self.kind not in SIGMA2:
+            raise ValueError(f"unknown error kind {self.kind!r}")
+        if self.sigma2 is None:
+            object.__setattr__(self, "sigma2", SIGMA2[self.kind])
+
     def field_model(self) -> FieldModel | None:
         if self.kind == "iid":
             return None
-        if self.kind == "car1":
-            return randfield.car1(
-                self.lam, tau2=self.tau2, n_knots=self.n_knots, buffer=self.buffer
-            )
-        raise ValueError(f"unknown error case {self.kind!r}")
+        return randfield.car1(
+            self.lam, tau2=self.tau2, n_knots=self.n_knots, buffer=self.buffer
+        )
 
 
 @dataclass(frozen=True)
@@ -134,18 +148,19 @@ class ExperimentSpec:
     reps: int
     n: int
     A: tuple[float, ...]
-    density: SamplingDensity = field(default_factory=lambda: SamplingDensity("uniform"))
+    density: SamplingDensity = field(default_factory=SamplingDensity)
     mean: str = "paper_mean"
     mean_offset: float = 0.0
-    error: ErrorCase = field(default_factory=lambda: ErrorCase("iid", sigma2=1.0))
+    error: ErrorCase = field(default_factory=ErrorCase)
     p: int = 1
     kernel_family: str = "product-triangular"
     C_K: float = 1.0
-    fit_h: tuple[float, ...] = (0.2, 0.2)
-    pilot_h: tuple[float, ...] = (0.25, 0.25)
-    variance_h: tuple[float, ...] = (0.25, 0.25)
-    taper_b: tuple[float, ...] = (8.0, 8.0)
-    z: tuple[float, ...] = (0.0, 0.0)
+    # None: the TABLE1 value in d = 2, unset in any other dimension
+    fit_h: tuple[float, ...] | None = None
+    pilot_h: tuple[float, ...] | None = None
+    variance_h: tuple[float, ...] | None = None
+    taper_b: tuple[float, ...] | None = None
+    z: tuple[float, ...] | None = None  # None: the origin
     tau: float = 0.05
     master_seed: int = 0
     outlier_threshold: float = -10.0
@@ -153,10 +168,46 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("replication count must be >= 1")
+        d = len(self.A)
+        if self.z is None:
+            object.__setattr__(self, "z", (0.0,) * d)
+        if d == 2:
+            for name, value in TABLE1.items():
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, value)
+        for name in (*TABLE1, "z"):
+            given = getattr(self, name)
+            if given is not None and len(given) != d:
+                raise ValueError(f"{name} has {len(given)} entries; A has {d} axes")
         for hs in (self.fit_h, self.pilot_h, self.variance_h, self.taper_b):
-            if any(v <= 0 for v in hs):
+            if hs is not None and any(v <= 0 for v in hs):
                 raise ValueError("bandwidths and taper widths must be positive")
         make_mean_function(self.mean)  # a bad expression fails before any replication
+
+    @classmethod
+    def from_config(cls, cfg, master_seed=None) -> "ExperimentSpec":
+        """The spec of an mc config, or of a simulate config plus "reps".
+
+        Reads only the keys present, so every default is a field default. A
+        master_seed given here overrides the config's.
+        """
+        kw = {"reps": cfg["reps"], "n": cfg["n"], "A": tuple(cfg["A"])}
+        plain = ("mean", "mean_offset", "p", "tau", "master_seed", "outlier_threshold")
+        kw.update({k: cfg[k] for k in plain if k in cfg})
+        kw.update({k: tuple(cfg[k]) for k in (*TABLE1, "z") if k in cfg})
+        density, err, kern = (cfg.get(k) or {} for k in ("density", "error", "kernel"))
+        if not all(isinstance(s, dict) for s in (density, err, kern)):
+            raise ValueError("density, error and kernel must be JSON objects")
+        if density:
+            kw["density"] = SamplingDensity(**density)
+        if err:
+            err = {("lam" if k == "lambda" else k): v for k, v in err.items()}
+            kw["error"] = ErrorCase(**err)
+        kernel_fields = {"family": "kernel_family", "C_K": "C_K"}
+        kw.update({kernel_fields[k]: v for k, v in kern.items()})
+        if master_seed is not None:
+            kw["master_seed"] = master_seed
+        return cls(**kw)
 
     def region(self) -> Region:
         return Region(A=self.A)
@@ -180,9 +231,6 @@ class ExperimentSummary:
     hist_edges: list
     hist_counts: list
     metadata: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def simulate_responses(spec: ExperimentSpec, sites: np.ndarray, rng) -> np.ndarray:
@@ -261,10 +309,22 @@ def summarize(values, tau, outlier_threshold, covered=None):
     return mean, var, coverage, retained.size
 
 
+class ReplicationsFailed(Exception):
+    """Every replication of an experiment failed, so there is nothing to summarize."""
+
+
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentSummary:
+    """All replications of spec, in a pool of at most min(threads, reps) processes."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    unset = [name for name in TABLE1 if getattr(spec, name) is None]
+    if unset:
+        raise ValueError(f"{unset[0]} has no default in d = {len(spec.A)}")
     jobs = [(spec, r) for r in range(spec.reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, spec.reps)
+    if workers > 1:
+        # the pool forks every worker at its first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_rep_worker, jobs, chunksize=8))
     else:
         results = [_rep_worker(j) for j in jobs]
@@ -278,6 +338,10 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentSummary:
             covered.append(cov)
         else:
             failures.append({"rep": rep, "error": err})
+    if not t_values:
+        raise ReplicationsFailed(
+            f"all {spec.reps} replications failed; the first: {failures[0]['error']}"
+        )
 
     mean, var, coverage, retained = summarize(
         t_values, spec.tau, spec.outlier_threshold, covered=np.asarray(covered)
@@ -316,7 +380,7 @@ def write_outputs(summary: ExperimentSummary, outdir) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    payload = summary.to_dict()
+    payload = asdict(summary)
     # the open-ended overflow bins are not representable in strict JSON
     payload["hist_edges"] = [
         ("inf" if e > 0 else "-inf") if math.isinf(e) else e

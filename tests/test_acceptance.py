@@ -54,16 +54,6 @@ def _report(num: int, checks: list[tuple[str, bool]], gating: bool = True, notes
 # --- 1: benchmark coverage study ------------------------------------------
 
 
-def _spec_from_summary(summary: dict) -> mc.ExperimentSpec:
-    """The experiment spec the mc command ran, as recorded in summary.json."""
-    fields = dict(summary["metadata"]["spec"])
-    fields["error"] = mc.ErrorCase(**fields["error"])
-    fields["density"] = SamplingDensity(**fields["density"])
-    for key in ("A", "fit_h", "pilot_h", "variance_h", "taper_b", "z"):
-        fields[key] = tuple(fields[key])
-    return mc.ExperimentSpec(**fields)
-
-
 def _oracle_replications(spec: mc.ExperimentSpec, t_hat: dict) -> dict:
     """Rebuild each replication and pair its N, var0 with the oracle moments.
 
@@ -150,7 +140,10 @@ def test_acceptance_1_benchmark_coverage(tmp_path):
 
     notes = []
     for case, s in summaries.items():
-        spec = _spec_from_summary(s)
+        meta = s["metadata"]
+        spec = mc.ExperimentSpec.from_config(
+            meta["provenance"]["config"], master_seed=meta["master_seed"]
+        )
         g = _oracle_replications(spec, t_hats[case])
         gap = float(np.max(np.abs(g["t_gap"])))
         checks.append(
@@ -408,7 +401,7 @@ def test_acceptance_7_uniform_rate_informative():
                 truth = float(mean_fn(np.asarray(zpt)[None, :])[0])
                 try:
                     errs.append(
-                        abs(lpfit.fit_mean_at(data, config, zpt) - truth)
+                        abs(lpfit.fit_at(data, config, zpt).beta_hat[0] - truth)
                     )
                 except lpfit.FitError:
                     continue

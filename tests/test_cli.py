@@ -2,11 +2,12 @@
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from spatial_lp import cli, lpfit
+from spatial_lp import cli, lpfit, mc
 from spatial_lp.dataset import load_csv
 
 
@@ -295,3 +296,123 @@ def test_two_sample_region_mismatch(tmp_path, capsys):
         == 1
     )
     assert "region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+@pytest.mark.parametrize(
+    "section, named",
+    [({"error": {"kind": "matern"}}, "matern"), ({"error": "car1"}, "error"),
+     ({"density": ["uniform"]}, "density")],
+)
+def test_bad_error_or_density_is_rejected(tmp_path, capsys, command, section, named):
+    payload = {"n": 50, "A": [10.0, 10.0], **section}
+    if command == "mc":
+        payload["reps"] = 2
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_mc_kernel_must_be_an_object(tmp_path, capsys):
+    cfg = _write(
+        tmp_path / "mc.json", {"reps": 2, "n": 50, "A": [10.0, 10.0], "kernel": "x"}
+    )
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "kernel must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_in_one_dimension(tmp_path):
+    cfg = _write(tmp_path / "sim.json", {"n": 50, "A": [10.0], "mean": "x1"})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert load_csv(tmp_path / "o" / "data.csv").sites.shape == (50, 1)
+
+
+@pytest.mark.parametrize(
+    "given, named",
+    [({}, "fit_h has no default in d = 1"),
+     *(({f: [0.1, 0.1]}, f"{f} has 2 entries")
+       for f in ("fit_h", "pilot_h", "variance_h", "taper_b", "z"))],
+)
+def test_mc_vectors_are_checked_before_any_replication(
+    tmp_path, capsys, monkeypatch, given, named
+):
+    ran = []
+    monkeypatch.setattr(mc, "run_replication", lambda spec, rep: ran.append(rep))
+    cfg = _write(
+        tmp_path / "mc.json", {"reps": 3, "n": 100, "A": [10.0], "mean": "x1", **given}
+    )
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+    assert not ran
+    assert not (tmp_path / "o").exists()
+
+
+def test_mc_every_replication_failing_exits_2(tmp_path, capsys):
+    h = [0.05, 0.05]
+    cfg = _write(
+        tmp_path / "mc.json",
+        {"reps": 6, "n": 100, "A": [10.0, 10.0], "fit_h": h, "pilot_h": h,
+         "variance_h": h},
+    )
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "all 6 replications failed" in err
+    assert "NoLocalData: " in err and "sites in the kernel window" in err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "threads, pool", [("-3", None), ("0", None), ("1", None), ("2", 2), ("64", 3)]
+)
+def test_mc_threads_bound_the_pool(tmp_path, monkeypatch, threads, pool):
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = _write(
+        tmp_path / "mc.json", {"reps": 3, "n": 200, "A": [10.0, 10.0], "master_seed": 1}
+    )
+    argv = ["mc", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", threads]
+    assert cli.main(argv) == (1 if int(threads) < 1 else 0)
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
+
+
+@pytest.mark.parametrize("seed", [None, 9])
+def test_mc_summary_rebuilds_its_spec(tmp_path, seed):
+    cfg = _write(
+        tmp_path / "mc.json",
+        {"reps": 3, "n": 300, "A": [10.0, 10.0], "master_seed": 5,
+         "error": {"kind": "car1", "n_knots": 200}, "fit_h": [0.25, 0.25]},
+    )
+    out = tmp_path / "o"
+    argv = ["mc", "--config", cfg, "--out", str(out)]
+    assert cli.main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    meta = json.loads((out / "summary.json").read_text())["metadata"]
+    assert meta["master_seed"] == (5 if seed is None else seed)
+    spec = mc.ExperimentSpec.from_config(
+        meta["provenance"]["config"], master_seed=meta["master_seed"]
+    )
+    assert json.loads(json.dumps(asdict(spec))) == meta["spec"]
+    rows = (out / "that.csv").read_text().splitlines()
+    rebuilt = []
+    for rep in range(spec.reps):
+        t, covered = mc.run_replication(spec, rep)
+        rebuilt.append(f"{rep},{t:.17g},{int(covered)}")
+    assert rows == ["rep,t_hat,covered", *rebuilt]

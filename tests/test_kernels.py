@@ -70,8 +70,6 @@ def test_taper_anisotropic_widths():
 def test_taper_validation():
     with pytest.raises(ValueError):
         kernels.TaperSpec(widths=(1.0, -1.0))
-    with pytest.raises(ValueError):
-        kernels.TaperSpec(widths=(1.0,), family="parzen")
 
 
 # --- closed-form moments -------------------------------------------------

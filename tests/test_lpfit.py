@@ -98,7 +98,7 @@ def test_fit_mean_at_is_intercept():
     data = _uniform_dataset(2, 400, 3, lambda u: 1.0 + u[:, 0])
     config = _config(2, 1, 0.3)
     z = (0.2, -0.1)
-    assert lpfit.fit_mean_at(data, config, z) == pytest.approx(1.2, abs=1e-10)
+    assert lpfit.fit_at(data, config, z).beta_hat[0] == pytest.approx(1.2, abs=1e-10)
 
 
 def test_no_local_data():
@@ -324,9 +324,9 @@ def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
     rescued = []
     solve_spd = lpfit._solve_spd
 
-    def counting_solve_spd(XWX, XWY, ridge_eps):
+    def counting_solve_spd(XWX, XWY):
         rescued.append(np.linalg.cond(XWX))
-        return solve_spd(XWX, XWY, ridge_eps)
+        return solve_spd(XWX, XWY)
 
     monkeypatch.setattr(lpfit, "_solve_spd", counting_solve_spd)
     beta, _ = lpfit.fit_many(data, config, Z)

@@ -228,3 +228,28 @@ def test_replication_leaves_blas_workers_idle():
     )
     process_s, thread_s = map(float, out.stdout.split())
     assert process_s - thread_s <= 0.25 * thread_s
+
+
+def test_from_config_reads_only_present_keys():
+    base = {"reps": 2, "n": 100, "A": [10.0, 10.0]}
+    spec = mc.ExperimentSpec.from_config(base)
+    assert spec == mc.ExperimentSpec(reps=2, n=100, A=(10.0, 10.0))
+    assert (spec.fit_h, spec.pilot_h, spec.variance_h, spec.taper_b, spec.z) == (
+        (0.2, 0.2), (0.25, 0.25), (0.25, 0.25), (8.0, 8.0), (0.0, 0.0)
+    )
+    # sigma2 defaults by error kind
+    spec = mc.ExperimentSpec.from_config(
+        {**base, "error": {"kind": "car1"}}, master_seed=4
+    )
+    assert spec.error == mc.ErrorCase(
+        "car1", sigma2=0.01, lam=1.0, tau2=0.01, n_knots=800, buffer=2.0
+    )
+    assert spec.master_seed == 4
+    assert mc.ErrorCase().sigma2 == 1.0
+    # z is the origin in any dimension; the Table-1 widths are defaults in d = 2 only
+    spec = mc.ExperimentSpec.from_config(
+        {**base, "A": [10.0], "mean": "x1", "fit_h": [0.2]}
+    )
+    assert (spec.z, spec.fit_h, spec.pilot_h) == ((0.0,), (0.2,), None)
+    with pytest.raises(ValueError, match="pilot_h has no default in d = 1"):
+        mc.run_experiment(spec)
