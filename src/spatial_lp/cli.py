@@ -68,18 +68,24 @@ def _load_config(path, allowed: set) -> dict:
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(cfg) - allowed
     for key in allowed & SECTION_KEYS.keys():
-        if isinstance(cfg.get(key), dict):
-            unknown |= {f"{key}.{k}" for k in set(cfg[key]) - SECTION_KEYS[key]}
+        section = cfg.get(key)
+        if section is None:
+            continue
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: {key} must be a JSON object")
+        unknown |= {f"{key}.{k}" for k in set(section) - SECTION_KEYS[key]}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     return _Config(cfg)
 
 
 def _kernel(cfg, d) -> kernels.KernelSpec:
+    # defaults here and below are the mc.ExperimentSpec field defaults, which
+    # a dataclass keeps as class attributes
     cfg = cfg or {}
     return kernels.KernelSpec(
-        family=cfg.get("family", "product-triangular"),
-        support_halfwidth=cfg.get("C_K", 1.0),
+        family=cfg.get("family", mc.ExperimentSpec.kernel_family),
+        support_halfwidth=cfg.get("C_K", mc.ExperimentSpec.C_K),
         d=d,
     )
 
@@ -133,7 +139,7 @@ def cmd_fit(args) -> int:
     d = dataset.d
     kern = _kernel(cfg.get("kernel"), d)
     config = FitConfig(
-        p=cfg.get("p", 1),
+        p=cfg.get("p", mc.ExperimentSpec.p),
         kernel=kern,
         h=tuple(cfg["h"]),
         pilot_h=tuple(cfg["pilot_h"]) if "pilot_h" in cfg else None,
@@ -148,7 +154,7 @@ def cmd_fit(args) -> int:
         raise ConfigError("fit config needs 'z' or 'z_grid'")
 
     with_ci = "taper_b" in cfg
-    tau = cfg.get("tau", 0.05)
+    tau = cfg.get("tau", mc.ExperimentSpec.tau)
     taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"])) if with_ci else None
     variance_h = tuple(cfg.get("variance_h", cfg["h"]))
     if with_ci:
@@ -249,10 +255,10 @@ def cmd_two_sample(args) -> int:
     d = ds1.d
     kern = _kernel(cfg.get("kernel"), d)
     h = tuple(cfg["h"])
-    config = FitConfig(p=cfg.get("p", 1), kernel=kern, h=h)
+    config = FitConfig(p=cfg.get("p", mc.ExperimentSpec.p), kernel=kern, h=h)
     z = np.asarray(cfg.get("z", (0.0,) * d), dtype=float)
     idx = parse_index(cfg.get("idx", ""))
-    tau = cfg.get("tau", 0.05)
+    tau = cfg.get("tau", mc.ExperimentSpec.tau)
     taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"]))
     variance_h = tuple(cfg.get("variance_h", h))
 
@@ -279,7 +285,7 @@ MOMENTS_KEYS = {"d", "p", "kernel"}
 
 def cmd_moments(args) -> int:
     cfg = _load_config(args.config, MOMENTS_KEYS)
-    d, p = cfg.get("d", 2), cfg.get("p", 1)
+    d, p = cfg.get("d", 2), cfg.get("p", mc.ExperimentSpec.p)
     layout = build_layout(d, p)
     mom = kernels.moment_matrices(_kernel(cfg.get("kernel"), d), layout)
     out = Path(args.out)

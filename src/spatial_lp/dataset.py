@@ -123,7 +123,7 @@ def generate_sites(
     """Draw n i.i.d. sites in R_n with density A_n^{-1} g(x / A_n)."""
     if n < 1:
         raise ValueError("site count must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     u = rng.random((n, region.d))
     z = np.column_stack([density.ppf_axis(j, u[:, j]) for j in range(region.d)])
     return z * region.sides()

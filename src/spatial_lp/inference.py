@@ -35,9 +35,7 @@ class VarianceEstimate:
     """Plug-in estimate of the asymptotic variance factor W_n."""
 
     g_hat: float
-    W1_hat: float
     W_hat: float
-    residual_bandwidth: tuple[float, ...]
 
 
 @dataclass
@@ -52,37 +50,40 @@ class TestReport:
     decision: str  # "reject", "accept", or "inconclusive"
 
 
-def density_hat(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z) -> float:
-    """(n h_1...h_d)^{-1} sum_i K_Ah(X_i - A z)."""
-    h = np.asarray(h, dtype=float)
-    w = kernel_weights(dataset, kernel, h, z)
-    return float(w.sum() / (dataset.n * np.prod(h)))
-
-
 def make_residual_provider(dataset: SpatialDataset, config: FitConfig):
     """m_hat by local polynomial fits: (m, d) rescaled points to (m,) intercepts."""
     return lambda Z: lpfit.fit_many(dataset, config, Z)[0][:, 0]
 
 
-def _window_residuals(dataset: SpatialDataset, kernel, h, z, mhat):
-    """In-window sites X_i and their K_i r_i, with r_i = Y_i - m_hat(X_i / A).
+def _window(dataset: SpatialDataset, kernel, h, z, mhat):
+    """(g_hat, X, u): density at z, in-window sites and u_i = K_i r_i / (n g_hat).
 
-    Sites outside the kernel window carry zero weight, so they drop out of
-    every tapered sum and need no residual fit.
+    g_hat = (n h_1...h_d)^{-1} sum_i K_i with K_i = K_Ah(X_i - A z), and
+    r_i = Y_i - m_hat(X_i / A). Sites outside the kernel window carry zero
+    weight, so they drop out of every tapered sum and need no residual fit.
     """
     w = kernel_weights(dataset, kernel, h, z)
+    g = float(w.sum() / (dataset.n * np.prod(h)))
+    if g <= 0.0:
+        raise DegenerateWindow(f"estimated density at z={z} is zero")
     active = np.flatnonzero(w > 0.0)
-    sites = dataset.sites[active]
-    res = dataset.responses[active] - mhat(sites / dataset.region.sides())
-    return sites, w[active] * res
+    X = dataset.sites[active]
+    r = dataset.responses[active] - mhat(X / dataset.region.sides())
+    return g, X, w[active] * r / (dataset.n * g)
 
 
-def _tapered_sum(window1, window2, taper: kernels.TaperSpec) -> float:
-    """sum_{i,j} wr_i Kbar(X_i - Y_j) wr'_j over two windows (X, wr), (Y, wr')."""
-    (X, wr), (Y, wr2) = window1, window2
-    if wr.size == 0 or wr2.size == 0:
-        return 0.0
-    return float(wr @ kernels.eval_taper_pairs(taper, X, Y) @ wr2)
+def _long_run_variance(windows, kernel, h, taper, An) -> float:
+    """A_n / (h_1...h_d kappa_0^(2)) sum_{a,b} u_a' Kbar(X_a, X_b) u_b.
+
+    windows holds one (X_a, u_a) per sample. The taper is symmetric, so each
+    pair a < b is evaluated once, as one m_a x m_b block, and counted twice.
+    """
+    s = 0.0
+    for a, (Xa, ua) in enumerate(windows):
+        for b, (Xb, ub) in enumerate(windows[a:], start=a):
+            term = float(ua @ kernels.eval_taper_pairs(taper, Xa, Xb) @ ub)
+            s += term if a == b else 2.0 * term
+    return An / (float(np.prod(h)) * kernels.kappa0_r2(kernel)) * s
 
 
 def variance_hat(
@@ -100,15 +101,9 @@ def variance_hat(
     """
     z = np.asarray(z, dtype=float)
     h = tuple(float(v) for v in np.atleast_1d(h))
-    g = density_hat(dataset, kernel, h, z)
-    if g <= 0.0:
-        raise DegenerateWindow(f"estimated density at z={z} is zero")
-    window = _window_residuals(dataset, kernel, h, z, mhat)
-    s = _tapered_sum(window, window, taper)
-    An = dataset.region.volume
-    W1 = An / (dataset.n**2 * float(np.prod(h))) * s
-    W = W1 / (kernels.kappa0_r2(kernel) * g * g)
-    return VarianceEstimate(g_hat=g, W1_hat=W1, W_hat=W, residual_bandwidth=h)
+    g, X, u = _window(dataset, kernel, h, z, mhat)
+    W = _long_run_variance([(X, u)], kernel, h, taper, dataset.region.volume)
+    return VarianceEstimate(g_hat=g, W_hat=W)
 
 
 def interval_halfwidth(
@@ -155,26 +150,18 @@ def two_sample_variance(
     mhat1,
     mhat2,
 ) -> float:
-    """Pooled variance V_check = V1/g1^2 + V2/g2^2 - 2 V3/(g1 g2), kappa_0^(2)-scaled."""
+    """Pooled variance V_check: the tapered double sum over both samples, u_2 negated.
+
+    It equals (V1/g1^2 + V2/g2^2 - 2 V3/(g1 g2)) / kappa_0^(2) with the
+    within-sample sums V1, V2 and the cross-sample sum V3.
+    """
     if ds1.region != ds2.region:
         raise ValueError("both samples must share one sampling region")
     z = np.asarray(z, dtype=float)
     h = tuple(float(v) for v in np.atleast_1d(h))
-    An = ds1.region.volume
-    hv = float(np.prod(h))
-
-    g1 = density_hat(ds1, kernel, h, z)
-    g2 = density_hat(ds2, kernel, h, z)
-    if g1 <= 0.0 or g2 <= 0.0:
-        raise DegenerateWindow("estimated density vanished in one of the samples")
-
-    win1 = _window_residuals(ds1, kernel, h, z, mhat1)
-    win2 = _window_residuals(ds2, kernel, h, z, mhat2)
-    V1 = An / (ds1.n**2 * hv) * _tapered_sum(win1, win1, taper)
-    V2 = An / (ds2.n**2 * hv) * _tapered_sum(win2, win2, taper)
-    V3 = An / (ds1.n * ds2.n * hv) * _tapered_sum(win1, win2, taper)
-
-    V = (V1 / g1**2 + V2 / g2**2 - 2.0 * V3 / (g1 * g2)) / kernels.kappa0_r2(kernel)
+    _, X1, u1 = _window(ds1, kernel, h, z, mhat1)
+    _, X2, u2 = _window(ds2, kernel, h, z, mhat2)
+    V = _long_run_variance([(X1, u1), (X2, -u2)], kernel, h, taper, ds1.region.volume)
     if V < 0.0:
         warnings.warn("pooled two-sample variance negative; clamped to 0")
         return 0.0

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from . import basis, kernels
 from .dataset import SpatialDataset
@@ -35,7 +34,7 @@ class NoLocalData(FitError):
 
 
 class RankDeficient(FitError):
-    """Weighted normal equations numerically singular after ridge fallback."""
+    """Weighted normal equations singular to working precision."""
 
 
 @dataclass(frozen=True)
@@ -210,42 +209,23 @@ def _fit_block(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
 
 
 def _solve_stack(XWX: np.ndarray, XWY: np.ndarray) -> np.ndarray:
-    """Solve a stack of normal equations; rows off the fast path use _solve_spd.
+    """Solve a stack of normal equations in one batched LU solve.
 
-    The fast path is the one _solve_spd takes first (2-norm condition within
-    COND_LIMIT, Cholesky succeeds), checked and solved for all rows at once.
+    A row over COND_LIMIT (2-norm condition) gets the ridge
+    RIDGE_SCALE * trace(X'WX) added to its diagonal, in place: the rescue for
+    ill-conditioned full-rank systems. A row singular to working precision is
+    a data problem, not a scaling one, and raises RankDeficient.
     """
-    fast = np.linalg.cond(XWX) <= COND_LIMIT
-    beta = np.empty_like(XWY)
-    if fast.any():
-        try:
-            np.linalg.cholesky(XWX[fast])
-            beta[fast] = np.linalg.solve(XWX[fast], XWY[fast, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            fast[:] = False
-    for r in np.flatnonzero(~fast):
-        beta[r] = _solve_spd(XWX[r], XWY[r])
-    return beta
-
-
-def _solve_spd(XWX: np.ndarray, XWY: np.ndarray) -> np.ndarray:
-    D = XWX.shape[0]
     cond = np.linalg.cond(XWX)
-    if cond <= COND_LIMIT:
-        try:
-            c, low = linalg.cho_factor(XWX)
-            return linalg.cho_solve((c, low), XWY)
-        except np.linalg.LinAlgError:
-            pass
-    # ridge rescues ill-conditioned but full-rank systems; a matrix that is
-    # singular to working precision is a data problem, not a scaling one
-    if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
-        raise RankDeficient(
-            f"normal equations numerically singular (cond {cond:.3g})"
-        )
-    ridged = XWX + RIDGE_SCALE * np.trace(XWX) * np.eye(D)
-    c, low = linalg.cho_factor(ridged)
-    return linalg.cho_solve((c, low), XWY)
+    singular = ~(cond <= 1.0 / np.finfo(float).eps)  # nan is singular too
+    if singular.any():
+        c = cond[singular.argmax()]
+        raise RankDeficient(f"normal equations numerically singular (cond {c:.3g})")
+    ill = cond > COND_LIMIT
+    if ill.any():
+        tr = np.trace(XWX[ill], axis1=1, axis2=2)
+        XWX[ill] += RIDGE_SCALE * tr[:, None, None] * np.eye(XWX.shape[1])
+    return np.linalg.solve(XWX, XWY[..., None])[..., 0]
 
 
 def top_order_moment_vector(

@@ -146,7 +146,7 @@ def simulate_field(
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if not region.contains(sites).all():
         raise ValueError("all evaluation sites must lie inside the region")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     if model.tau2 == 0.0:
         return np.zeros(sites.shape[0])
@@ -178,7 +178,7 @@ def simulate_bivariate(
     for s in (sites1, sites2):
         if not region.contains(s).all():
             raise ValueError("all evaluation sites must lie inside the region")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     knots, _ = _draw_knots(model, region, rng)
     jumps = rng.normal(0.0, math.sqrt(model.tau2), size=len(knots))
     e1 = _superposition(model.kernels[0], sites1, knots, jumps)
@@ -260,7 +260,7 @@ def apply_error_model(
     field_values = np.asarray(field_values, dtype=float)
     if sites.shape[0] != field_values.shape[0]:
         raise ValueError("sites and field values must have equal length")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = sites / region.sides()
     eps = rng.standard_normal(sites.shape[0])
     return noise.eta_at(z) * field_values + noise.sigma_at(z) * eps

@@ -314,11 +314,21 @@ def test_bad_error_or_density_is_rejected(tmp_path, capsys, command, section, na
     assert not (tmp_path / "o").exists()
 
 
-def test_mc_kernel_must_be_an_object(tmp_path, capsys):
-    cfg = _write(
-        tmp_path / "mc.json", {"reps": 2, "n": 50, "A": [10.0, 10.0], "kernel": "x"}
-    )
-    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+@pytest.mark.parametrize(
+    "command, payload, data_flags",
+    [("mc", {"reps": 2, "n": 50, "A": [10.0, 10.0]}, ()),
+     ("fit", {"h": [0.2, 0.2], "z": [0.0, 0.0]}, ("--data",)),
+     ("two-sample", {"h": [0.2, 0.2], "taper_b": [8.0, 8.0]}, ("--data1", "--data2")),
+     ("moments", {"d": 2}, ())],
+    ids=["mc", "fit", "two-sample", "moments"],
+)
+def test_mc_kernel_must_be_an_object(tmp_path, capsys, command, payload, data_flags):
+    """The config is rejected before any data file is read."""
+    cfg = _write(tmp_path / "cfg.json", {**payload, "kernel": "x"})
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    for flag in data_flags:
+        argv += [flag, str(tmp_path / "absent.csv")]
+    assert cli.main(argv) == 1
     assert "kernel must be" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

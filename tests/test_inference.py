@@ -1,5 +1,7 @@
 """Variance estimation, confidence intervals, and the two-sample test."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -47,7 +49,10 @@ def test_cdf_quantile_round_trip():
 
 def test_density_hat_uniform_sites():
     data = _dataset(4000, 0)
-    g = inference.density_hat(data, KERN, (0.3, 0.3), (0.0, 0.0))
+    taper = kernels.TaperSpec(widths=(8.0, 8.0))
+    g = inference.variance_hat(
+        data, lambda z: 0.0, KERN, (0.3, 0.3), taper, (0.0, 0.0)
+    ).g_hat
     assert g == pytest.approx(1.0, abs=0.06)
 
 
@@ -59,7 +64,6 @@ def test_variance_zero_for_exact_residuals():
         data, lambda Z: mean(np.atleast_2d(Z)), KERN, (0.25, 0.25),
         taper, (0.0, 0.0),
     )
-    assert est.W1_hat == pytest.approx(0.0, abs=1e-20)
     assert est.W_hat == pytest.approx(0.0, abs=1e-18)
     assert est.g_hat > 0
 
@@ -75,10 +79,11 @@ def test_vanishing_taper_keeps_only_diagonal():
     A = data.region.sides()
     w = kernels.eval_kernel_many(KERN, (data.sites - A * z) / (A * np.asarray(h)))
     direct = float(np.sum((w * data.responses) ** 2))
+    g = w.sum() / (data.n * 0.0625)
     expected_W1 = data.region.volume / (data.n**2 * 0.0625) * direct
-    assert est.W1_hat == pytest.approx(expected_W1, rel=1e-10)
+    assert est.g_hat == pytest.approx(g, rel=1e-12)
     assert est.W_hat == pytest.approx(
-        expected_W1 / (MOM.kappa0_r2 * est.g_hat**2), rel=1e-12
+        expected_W1 / (MOM.kappa0_r2 * g**2), rel=1e-10
     )
 
 
@@ -101,7 +106,7 @@ def test_variance_hat_with_fitted_residuals_runs():
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
     est = inference.variance_hat(data, mhat, KERN, (0.25, 0.25), taper, (0.0, 0.0))
     assert est.W_hat >= 0.0
-    assert est.residual_bandwidth == (0.25, 0.25)
+    assert est.g_hat > 0.0
 
 
 # --- intervals -------------------------------------------------------------
@@ -135,8 +140,10 @@ def test_W_hat_nonnegative_when_taper_matrix_is_psd(window):
     mhat = lambda Z: 0.3 + Z @ slope
     kern = kernels.KernelSpec(family="product-triangular", d=d)
     taper = kernels.TaperSpec(widths=b)
-    X, _ = inference._window_residuals(data, kern, h, z, mhat)
-    assume(len(X) > 0)
+    try:
+        _, X, _ = inference._window(data, kern, h, z, mhat)
+    except inference.DegenerateWindow:
+        assume(False)
     eig = np.linalg.eigvalsh(kernels.eval_taper_pairs(taper, X, X))
     assume(eig.min() >= -1e-12 * eig.max())
     est = inference.variance_hat(data, mhat, kern, h, taper, z)
@@ -170,9 +177,7 @@ def _fit_result(beta, h=(0.2, 0.2), An=100.0, bias=None):
 
 def test_confidence_interval_is_bias_corrected():
     fit = _fit_result([2.0, 0.1, -0.1], bias=[0.3, 0.0, 0.0])
-    varest = inference.VarianceEstimate(
-        g_hat=1.0, W1_hat=0.0, W_hat=0.5, residual_bandwidth=(0.25, 0.25)
-    )
+    varest = inference.VarianceEstimate(g_hat=1.0, W_hat=0.5)
     lo, hi = inference.confidence_interval(fit, varest, MOM, (), 0.05)
     assert 0.5 * (lo + hi) == pytest.approx(1.7, rel=1e-12)
     hw = inference.interval_halfwidth(MOM, LAYOUT, (), 0.5, 100.0, fit.h, 0.05)
@@ -188,8 +193,6 @@ def test_two_sample_variance_identical_samples_is_zero():
     data = _dataset(300, 4)
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
     mhat = lambda z: 0.0
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         V = inference.two_sample_variance(
@@ -207,6 +210,68 @@ def test_two_sample_variance_positive_for_independent_samples():
         d1, d2, KERN, (0.25, 0.25), taper, np.zeros(2), mhat, mhat
     )
     assert V > 0.0
+
+
+@st.composite
+def _sample_pairs(draw):
+    d = draw(st.integers(1, 2))
+    n1 = draw(st.integers(20, 150))
+    n2 = draw(st.integers(20, 150).filter(lambda n: n != n1))
+    h = tuple(draw(st.floats(0.15, 0.4)) for _ in range(d))
+    b = tuple(draw(st.floats(0.05, 8.0)) for _ in range(d))
+    z = tuple(draw(st.floats(-0.3, 0.3)) for _ in range(d))
+    return d, n1, n2, h, b, z, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sample_pairs())
+def test_two_sample_variance_is_the_three_term_form(pair):
+    """V_check = (V1/g1^2 + V2/g2^2 - 2 V3/(g1 g2)) / kappa_0^(2), clamped at 0.
+
+    V1, V2 are the within-sample tapered sums, V3 the cross-sample one,
+    each scaled by A_n / (n_a n_b h_1...h_d). The tolerance is relative to
+    the sum of the terms' magnitudes, which bounds any cancellation.
+    """
+    d, n1, n2, h, b, z, seed = pair
+    rng = np.random.default_rng(seed)
+    region = Region(A=(10.0,) * d)
+    samples = [
+        SpatialDataset(
+            region=region, sites=rng.uniform(-5.0, 5.0, (n, d)),
+            responses=rng.standard_normal(n),
+        )
+        for n in (n1, n2)
+    ]
+    slopes = [rng.uniform(-2.0, 2.0, d) for _ in samples]
+    mhats = [lambda Z, s=s: 0.3 + Z @ s for s in slopes]
+    kern = kernels.KernelSpec(family="product-triangular", d=d)
+    taper = kernels.TaperSpec(widths=b)
+    An, hv = region.volume, float(np.prod(h))
+
+    gs, wins = [], []
+    for data, mhat in zip(samples, mhats):
+        w = lpfit.kernel_weights(data, kern, h, np.asarray(z))
+        act = w > 0
+        gs.append(w.sum() / (data.n * hv))
+        res = data.responses[act] - mhat(data.sites[act] / data.region.sides())
+        wins.append((data.sites[act], w[act] * res))
+    assume(min(gs) > 0)
+
+    def V(i, j):
+        (Xi, wri), (Xj, wrj) = wins[i], wins[j]
+        s = wri @ kernels.eval_taper_pairs(taper, Xi, Xj) @ wrj
+        return An / (samples[i].n * samples[j].n * hv) * s
+
+    g1, g2 = gs
+    terms = [V(0, 0) / g1**2, V(1, 1) / g2**2, -2.0 * V(0, 1) / (g1 * g2)]
+    expected = max(sum(terms), 0.0) / kernels.kappa0_r2(kern)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = inference.two_sample_variance(
+            *samples, kern, h, taper, np.asarray(z), *mhats
+        )
+    scale = sum(abs(t) for t in terms) / kernels.kappa0_r2(kern)
+    assert abs(got - expected) <= 1e-12 * scale
 
 
 def test_two_sample_variance_fits_each_window_residual_once(monkeypatch):

@@ -302,8 +302,9 @@ def test_degenerate_row_raises_as_its_single_fit(batch, coincident, where):
 def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
     """Sites on a line (jitter 1e-7) make a window full rank but over COND_LIMIT.
 
-    Only that row of the batch goes through _solve_spd, and every row
-    matches its single fit.
+    Only that row of the batch is solved with the ridge
+    RIDGE_SCALE * trace(X'WX) on its diagonal, every other row without one,
+    and every row matches its single fit.
     """
     rng = np.random.default_rng(8)
     A = 10.0
@@ -321,15 +322,22 @@ def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
     Z = np.array([[-0.3, 0.0], [0.33, 0.3], [-0.25, 0.1]])
     single = np.stack([lpfit.fit_at(data, config, z).beta_hat for z in Z])
 
-    rescued = []
-    solve_spd = lpfit._solve_spd
+    systems = []
+    solve_stack = lpfit._solve_stack
 
-    def counting_solve_spd(XWX, XWY):
-        rescued.append(np.linalg.cond(XWX))
-        return solve_spd(XWX, XWY)
+    def recording_solve_stack(XWX, XWY):
+        systems.append((XWX.copy(), XWY.copy()))
+        return solve_stack(XWX, XWY)
 
-    monkeypatch.setattr(lpfit, "_solve_spd", counting_solve_spd)
+    monkeypatch.setattr(lpfit, "_solve_stack", recording_solve_stack)
     beta, _ = lpfit.fit_many(data, config, Z)
-    assert len(rescued) == 1
-    assert lpfit.COND_LIMIT < rescued[0] < 1.0 / np.finfo(float).eps
+    [(XWX, XWY)] = systems
+    cond = np.linalg.cond(XWX)
+    ill = cond > lpfit.COND_LIMIT
+    assert ill.tolist() == [False, True, False]
+    assert cond[1] < 1.0 / np.finfo(float).eps
+    for r in range(len(Z)):
+        ridge = lpfit.RIDGE_SCALE * np.trace(XWX[r]) if ill[r] else 0.0
+        expected = np.linalg.solve(XWX[r] + ridge * np.eye(3), XWY[r])
+        assert _rel_err(beta[r], expected) <= 1e-12
     assert _rel_err(beta, single) <= 1e-12
