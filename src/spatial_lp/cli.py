@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, KeyError, FitError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 

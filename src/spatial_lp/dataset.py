@@ -8,6 +8,7 @@ the sites have density A_n^{-1} g(x / A_n).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -129,9 +130,26 @@ def generate_sites(
     return z * region.sides()
 
 
-@dataclass
+@dataclass(frozen=True)
+class SortedSites:
+    """The sites in ascending order of their first coordinate.
+
+    order[k] is the dataset row of the k-th site; columns[j] and responses
+    are contiguous copies of coordinate j and of Y in that order.
+    """
+
+    order: np.ndarray
+    columns: tuple[np.ndarray, ...]
+    responses: np.ndarray
+
+
+@dataclass(frozen=True)
 class SpatialDataset:
-    """n sites in R_n plus responses Y, optionally group-labelled."""
+    """n sites in R_n plus responses Y, optionally group-labelled.
+
+    sites and responses are private read-only copies of the arrays passed
+    in, so the sorted copies derived from them cannot go stale.
+    """
 
     region: Region
     sites: np.ndarray
@@ -139,8 +157,12 @@ class SpatialDataset:
     group: np.ndarray | None = None
 
     def __post_init__(self):
-        self.sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
-        self.responses = np.asarray(self.responses, dtype=float)
+        sites = np.atleast_2d(np.array(self.sites, dtype=float))
+        responses = np.array(self.responses, dtype=float)
+        sites.setflags(write=False)
+        responses.setflags(write=False)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "responses", responses)
         if self.sites.shape[0] != self.responses.shape[0]:
             raise ValueError("sites and responses must have equal length")
         if self.sites.shape[0] < 1:
@@ -155,6 +177,16 @@ class SpatialDataset:
         if not self.region.contains(self.sites).all():
             bad = int(np.argmin(self.region.contains(self.sites)))
             raise ValueError(f"site {bad} lies outside the sampling region")
+
+    @functools.cached_property
+    def by_first_axis(self) -> SortedSites:
+        """The sites sorted by first coordinate, computed on first use."""
+        order = np.argsort(self.sites[:, 0], kind="stable")
+        columns = tuple(self.sites[order, j] for j in range(self.d))
+        responses = self.responses[order]
+        for a in (order, *columns, responses):
+            a.setflags(write=False)
+        return SortedSites(order, columns, responses)
 
     @property
     def n(self) -> int:

@@ -15,10 +15,10 @@ from scipy.special import ndtr, ndtri
 
 from . import basis, kernels, lpfit
 from .dataset import SpatialDataset
-from .lpfit import FitConfig, FitResult, derivative_variance, kernel_weights
+from .lpfit import FitConfig, FitError, FitResult, derivative_variance
 
 
-class DegenerateWindow(Exception):
+class DegenerateWindow(FitError):
     """Density estimate vanished at the evaluation point."""
 
 
@@ -62,14 +62,13 @@ def _window(dataset: SpatialDataset, kernel, h, z, mhat):
     r_i = Y_i - m_hat(X_i / A). Sites outside the kernel window carry zero
     weight, so they drop out of every tapered sum and need no residual fit.
     """
-    w = kernel_weights(dataset, kernel, h, z)
+    rows, w = lpfit.window(dataset, kernel, h, z)
     g = float(w.sum() / (dataset.n * np.prod(h)))
     if g <= 0.0:
         raise DegenerateWindow(f"estimated density at z={z} is zero")
-    active = np.flatnonzero(w > 0.0)
-    X = dataset.sites[active]
-    r = dataset.responses[active] - mhat(X / dataset.region.sides())
-    return g, X, w[active] * r / (dataset.n * g)
+    X = dataset.sites[rows]
+    r = dataset.responses[rows] - mhat(X / dataset.region.sides())
+    return g, X, w * r / (dataset.n * g)
 
 
 def _long_run_variance(windows, kernel, h, taper, An) -> float:

@@ -48,15 +48,27 @@ class TaperSpec:
             raise ValueError("taper widths must be positive")
 
 
-def _base_1d(family: str, u: np.ndarray) -> np.ndarray:
-    """Unit-halfwidth 1-D kernel, normalized to integrate to 1 on [-1, 1]."""
-    a = np.abs(u)
+def _base_1d(family: str, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unit-halfwidth 1-D kernel, normalized to integrate to 1 on [-1, 1].
+
+    The result is written to out, which may be u itself.
+    """
+    if out is None:
+        out = np.empty(np.shape(u))
     if family == "product-triangular":
-        return np.maximum(0.0, 1.0 - a)
+        v = np.abs(u, out=out)
+        np.subtract(1.0, v, out=v)
+        return np.maximum(0.0, v, out=v)
     if family == "product-epanechnikov":
-        return np.where(a <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+        # u * u > 1 exactly when |u| > 1, so clipping at 0 cuts the support
+        v = np.multiply(u, u, out=out)
+        np.subtract(1.0, v, out=v)
+        np.multiply(0.75, v, out=v)
+        return np.maximum(v, 0.0, out=v)
     if family == "product-uniform":
-        return np.where(a <= 1.0, 0.5, 0.0)
+        v = np.abs(u, out=out)
+        np.less_equal(v, 1.0, out=v)
+        return np.multiply(v, 0.5, out=v)
     raise ValueError(family)
 
 
@@ -65,10 +77,16 @@ def eval_kernel(spec: KernelSpec, v) -> float:
     return float(eval_kernel_many(spec, np.asarray(v, dtype=float)[None, :])[0])
 
 
-def eval_kernel_axis(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """The 1-D factor k(u / C) / C of the product kernel, elementwise."""
+def eval_kernel_axis(
+    spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The 1-D factor k(u / C) / C of the product kernel, elementwise.
+
+    The result is written to out, which may be u itself.
+    """
     C = spec.support_halfwidth
-    return _base_1d(spec.family, u / C) / C
+    v = np.divide(u, C, out=out)
+    return np.divide(_base_1d(spec.family, v, out=v), C, out=v)
 
 
 def eval_kernel_many(spec: KernelSpec, V: np.ndarray) -> np.ndarray:

@@ -20,9 +20,15 @@ from .dataset import SpatialDataset
 
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
-# (row, site) kernel weights per block of fit_many: about half a megabyte
-# per (rows x sites) temporary
-BLOCK_PAIRS = 1 << 16
+# candidate (row, site) pairs per block of fit_many: each (rows x strip)
+# temporary is at most 256 KiB, the monomials and their weighted copy 2D
+# times that. A case-(ii) variance window takes four or five blocks;
+# smaller blocks spend more of each fit on per-call overhead
+BLOCK_PAIRS = 1 << 15
+# how far a strip reaches past the kernel window on the first axis, in units
+# of A_1: far more than the rounding in a kernel argument, so every site of
+# positive weight lies in its row's strip
+STRIP_PAD = 1e-9
 
 
 class FitError(Exception):
@@ -96,20 +102,63 @@ class FitResult:
         return float(basis.s_factorial(idx) * self.beta_hat[k])
 
 
-def kernel_weights(
-    dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z
-) -> np.ndarray:
-    """K((X_i - A z) / (A h)) for every site: the weight vector of a fit at z.
+def _strips(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z: np.ndarray):
+    """Candidate sites of each row of Z as a padded block: (start, L).
 
-    For an (m, d) stack of points z the result is the (m, n) weight matrix.
+    Row r's candidates are the L sites from sorted position start[r]. They
+    hold its first-axis strip |X_i1 - A_1 z_r1| <= A_1 (h_1 C + STRIP_PAD), a
+    superset of its kernel window. L is the longest strip; a shorter strip
+    is padded with its neighbouring sites, which the kernel weighs zero.
     """
+    x = dataset.by_first_axis.columns[0]
+    A = dataset.region.sides()[0]
+    c = A * Z[:, 0]
+    r = A * (h[0] * kernel.support_halfwidth + STRIP_PAD)
+    lo = np.searchsorted(x, c - r, side="left")
+    L = int(np.max(np.searchsorted(x, c + r, side="right") - lo, initial=0))
+    return np.minimum(lo, dataset.n - L), L
+
+
+def _gather(x: np.ndarray, start: np.ndarray, L: int) -> np.ndarray:
+    """Rows x[s:s + L] for each s in start, copied into one (len(start), L) array.
+
+    x is contiguous and 1-D; the copy comes from a window view of it.
+    """
+    windows = np.ndarray((x.size - L + 1, L), x.dtype, buffer=x, strides=2 * x.strides)
+    return windows[start]
+
+
+def _weigh(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z, start, L, t=None):
+    """K((X_i - A z) / (A h)) for each row of Z on the L sites from its start.
+
+    W[r, k] weighs the site at sorted position start[r] + k. The kernel is
+    evaluated axis by axis in place. With t, t[j] receives the monomial
+    argument (X_ij - A_j z_j) / A_j on the same (rows, L) layout.
+    """
+    srt = dataset.by_first_axis
     A = dataset.region.sides()
-    z = np.asarray(z, dtype=float)
-    w = 1.0
+    W = None
     for j, hj in enumerate(h):
-        u = (dataset.sites[:, j] - A[j] * z[..., j, None]) / (A[j] * hj)
-        w = w * kernels.eval_kernel_axis(kernel, u)
-    return w
+        u = _gather(srt.columns[j], start, L)
+        np.subtract(u, (A[j] * Z[:, j])[:, None], out=u)
+        if t is not None:
+            np.divide(u, A[j], out=t[j])
+        np.divide(u, A[j] * hj, out=u)
+        kernels.eval_kernel_axis(kernel, u, out=u)
+        W = u if W is None else np.multiply(W, u, out=W)
+    return W
+
+
+def window(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z):
+    """Sites of positive kernel weight at z: (dataset rows, weights).
+
+    The rows come in ascending order of first coordinate.
+    """
+    Z = np.asarray(z, dtype=float)[None]
+    start, L = _strips(dataset, kernel, h, Z)
+    w = _weigh(dataset, kernel, h, Z, start, L)[0]
+    k = np.flatnonzero(w)
+    return dataset.by_first_axis.order[start[0] + k], w[k]
 
 
 def _check_interior(Z: np.ndarray, d: int) -> None:
@@ -149,14 +198,15 @@ def fit_many(dataset: SpatialDataset, config: FitConfig, Z):
     """Local fits at every row of Z (m, d): coefficients (m, D) and n_eff (m,).
 
     Row r equals the fit_at coefficients at Z[r]. The rows go through in
-    blocks of at most BLOCK_PAIRS (row, site) weights, so memory stays
-    bounded whatever m is.
+    blocks of at most BLOCK_PAIRS candidate (row, site) pairs, so memory
+    stays bounded whatever m is.
     """
     Z = np.asarray(Z, dtype=float)
     _check_interior(Z, config.d)
+    _, L = _strips(dataset, config.kernel, config.h, Z)
     beta = np.empty((len(Z), config.layout().D))
     n_eff = np.empty(len(Z), dtype=np.int64)
-    step = max(1, BLOCK_PAIRS // dataset.n)
+    step = max(1, BLOCK_PAIRS // max(1, L))
     for s in range(0, len(Z), step):
         beta[s:s + step], n_eff[s:s + step] = _fit_block(
             dataset, config, Z[s:s + step]
@@ -165,46 +215,40 @@ def fit_many(dataset: SpatialDataset, config: FitConfig, Z):
 
 
 def _fit_block(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
-    """Normal equations of each row of Z on its sites of positive weight, solved.
+    """Normal equations of each row of Z on its candidate sites, solved.
 
-    The (row, site) pairs are compacted once, the monomials are built on
-    the pairs only, and each row's X'WX and X'WY are one GEMM on its slice.
+    The rows share one padded (rows x L) block of candidates. X'WX and X'WY
+    of every row are one batched matmul each.
     """
     layout = config.layout()
     D = layout.D
-    W = kernel_weights(dataset, config.kernel, config.h, Z)
-    # row-major (row, site) pairs; one flat scan is faster than 2-D nonzero
-    flat = np.flatnonzero(W > 0.0)
-    rows = flat // dataset.n
-    cols = flat - rows * dataset.n
-    counts = np.bincount(rows, minlength=len(Z))
+    start, L = _strips(dataset, config.kernel, config.h, Z)
+    # X and X * W share one allocation, the block's largest: glibc raises its
+    # mmap threshold to the largest block freed and trims the heap only above
+    # twice that, so the next block reuses these pages instead of faulting
+    # them in again
+    XXw = np.empty((len(Z), 2, D, L))
+    X, Xw = XXw[:, 0], XXw[:, 1]
+    # monomials of t = (X_i - A z) / A, one row per basis index: the first
+    # order rows come from the weight pass, every other index is its prefix
+    # times one more axis
+    X[:, 0] = 1.0
+    t = [X[:, layout.position((j + 1,))] for j in range(config.d)] if layout.p else None
+    W = _weigh(dataset, config.kernel, config.h, Z, start, L, t)
+    counts = np.count_nonzero(W, axis=1)
     short = counts < D
     if short.any():
         r = short.argmax()
         raise NoLocalData(
             f"{counts[r]} sites in the kernel window at z={Z[r]}, need >= {D}"
         )
-
-    # monomials of t = (X_i - A z) / A, one row per basis index: each index
-    # is its prefix times one more axis
-    A = dataset.region.sides()
-    t = [
-        (dataset.sites[cols, j] - (A[j] * Z[:, j])[rows]) / A[j]
-        for j in range(config.d)
-    ]
-    X = np.empty((D, rows.size))
-    X[0] = 1.0
     for k, idx in enumerate(layout.indices[1:], start=1):
-        X[k] = X[layout.position(idx[:-1])] * t[idx[-1] - 1]
-    Xw = X * W.ravel()[flat]
-    y = dataset.responses[cols]
-
-    XWX = np.empty((len(Z), D, D))
-    XWY = np.empty((len(Z), D))
-    ends = np.cumsum(counts)
-    for r, (s, e) in enumerate(zip(ends - counts, ends)):
-        XWX[r] = X[:, s:e] @ Xw[:, s:e].T
-        XWY[r] = Xw[:, s:e] @ y[s:e]
+        if len(idx) > 1:
+            np.multiply(X[:, layout.position(idx[:-1])], t[idx[-1] - 1], out=X[:, k])
+    np.multiply(X, W[:, None, :], out=Xw)
+    y = _gather(dataset.by_first_axis.responses, start, L)
+    XWX = np.matmul(X, Xw.transpose(0, 2, 1))
+    XWY = np.matmul(Xw, y[..., None])[..., 0]
     return _solve_stack(XWX, XWY), counts
 
 

@@ -372,6 +372,53 @@ def test_mc_every_replication_failing_exits_2(tmp_path, capsys):
     assert "NoLocalData: " in err and "sites in the kernel window" in err
 
 
+def test_mc_degenerate_variance_window_counts_as_failure(tmp_path, capsys):
+    """An empty variance window fails its replication; it does not end the run."""
+    cfg = _write(
+        tmp_path / "mc.json",
+        {"reps": 3, "n": 100, "A": [10.0, 10.0], "variance_h": [0.01, 0.01]},
+    )
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "all 3 replications failed" in err
+    assert "DegenerateWindow: estimated density" in err
+    assert "Traceback" not in err
+
+
+def test_fit_degenerate_variance_window_is_recorded_on_its_point(tmp_path, sim_data):
+    cfg = _write(
+        tmp_path / "fit.json",
+        {"p": 1, "h": [0.25, 0.25], "z": [0.0, 0.0], "taper_b": [2.0, 2.0],
+         "variance_h": [0.01, 0.01]},
+    )
+    out = tmp_path / "fit_out"
+    assert cli.main(["fit", "--config", cfg, "--data", str(sim_data), "--out", str(out)]) == 0
+    with (out / "fits.csv").open() as f:
+        [row] = list(csv.DictReader(f))
+    assert row["error"].startswith("DegenerateWindow: estimated density")
+
+
+def test_two_sample_thin_window_is_a_one_line_error(tmp_path, capsys):
+    for k in (1, 2):
+        cfg = _write(tmp_path / f"s{k}.json", {"n": 1500, "A": [10.0, 10.0], "seed": k})
+        cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / f"d{k}")])
+    cfg = _write(
+        tmp_path / "ts.json", {"h": [0.01, 0.01], "taper_b": [2.0, 2.0], "z": [0.0, 0.0]}
+    )
+    argv = [
+        "two-sample", "--config", cfg, "--out", str(tmp_path / "o"),
+        "--data1", str(tmp_path / "d1" / "data.csv"),
+        "--data2", str(tmp_path / "d2" / "data.csv"),
+    ]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: two-sample: ")
+    assert "sites in the kernel window" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs in process."""
 

@@ -1,5 +1,6 @@
 """Region, sampling densities, dataset container, and CSV round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import stats
 
 from spatial_lp import dataset as ds
+from spatial_lp import inference, kernels, lpfit
 
 
 def test_region_basic():
@@ -190,3 +192,53 @@ def test_rescale_rejects_outside_points():
     data = ds.SpatialDataset(region=r, sites=[[0.0, 0.0]], responses=[0.0])
     with pytest.raises(ValueError):
         ds.rescale(data, (5.0, 0.0))
+
+
+def test_dataset_arrays_are_private_read_only_copies():
+    rng = np.random.default_rng(3)
+    sites = rng.uniform(-5.0, 5.0, (50, 2))
+    y = rng.standard_normal(50)
+    data = ds.SpatialDataset(region=ds.Region(A=(10.0, 10.0)), sites=sites, responses=y)
+    with pytest.raises(ValueError, match="read-only"):
+        data.sites[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.responses[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.sites = sites
+    # the caller keeps a writable array, and its writes do not reach the dataset
+    sites[0, 0], y[0] = 4.9, 100.0
+    assert data.sites[0, 0] != 4.9 and data.responses[0] != 100.0
+
+
+def test_sorted_copies_are_built_once_per_dataset(monkeypatch):
+    built = []
+
+    class CountingSortedSites(ds.SortedSites):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ds, "SortedSites", CountingSortedSites)
+    rng = np.random.default_rng(4)
+    data = ds.SpatialDataset(
+        region=ds.Region(A=(10.0, 10.0)),
+        sites=rng.uniform(-5.0, 5.0, (300, 2)),
+        responses=rng.standard_normal(300),
+    )
+    assert built == []
+    kern = kernels.KernelSpec("product-triangular", d=2)
+    config = lpfit.FitConfig(p=1, kernel=kern, h=(0.3, 0.3))
+    z = np.array([0.1, -0.1])
+    lpfit.fit_at(data, config, z)
+    lpfit.fit_many(data, config, np.array([z, -z]))
+    inference.variance_hat(
+        data, inference.make_residual_provider(data, config), kern, (0.3, 0.3),
+        kernels.TaperSpec(widths=(2.0, 2.0)), z,
+    )
+    assert len(built) == 1
+    srt = data.by_first_axis
+    assert np.all(np.diff(srt.columns[0]) >= 0.0)
+    assert sorted(srt.order.tolist()) == list(range(data.n))
+    for j in range(2):
+        np.testing.assert_array_equal(srt.columns[j], data.sites[srt.order, j])
+    np.testing.assert_array_equal(srt.responses, data.responses[srt.order])

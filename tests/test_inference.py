@@ -249,8 +249,9 @@ def test_two_sample_variance_is_the_three_term_form(pair):
     An, hv = region.volume, float(np.prod(h))
 
     gs, wins = [], []
+    A = region.sides()
     for data, mhat in zip(samples, mhats):
-        w = lpfit.kernel_weights(data, kern, h, np.asarray(z))
+        w = kernels.eval_kernel_many(kern, (data.sites - A * z) / (A * np.asarray(h)))
         act = w > 0
         gs.append(w.sum() / (data.n * hv))
         res = data.responses[act] - mhat(data.sites[act] / data.region.sides())

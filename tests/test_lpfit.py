@@ -231,12 +231,108 @@ def test_fit_many_equals_stacked_single_fits(batch, block_rows):
     rng = np.random.default_rng(seed)
     data = _uniform_dataset(d, 400, seed, lambda u: rng.standard_normal(len(u)))
     config = _config(d, p, 0.3)
+    _, L = lpfit._strips(data, config.kernel, config.h, Z)
+    blocks = []
+    fit_block = lpfit._fit_block
+
+    def counting_fit_block(dataset, config, Zb):
+        blocks.append(len(Zb))
+        return fit_block(dataset, config, Zb)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lpfit, "BLOCK_PAIRS", block_rows * data.n)
+        mp.setattr(lpfit, "BLOCK_PAIRS", block_rows * L)
+        mp.setattr(lpfit, "_fit_block", counting_fit_block)
         beta, n_eff = lpfit.fit_many(data, config, Z)
+    m = len(Z)
+    assert blocks == [min(block_rows, m - s) for s in range(0, m, block_rows)]
     single = [lpfit.fit_at(data, config, z) for z in Z]
     assert _rel_err(beta, np.stack([f.beta_hat for f in single])) <= 1e-12
     assert n_eff.tolist() == [f.n_eff for f in single]
+
+
+@st.composite
+def _edge_windows(draw):
+    d = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(kernels.FAMILIES))
+    C = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    A = tuple(draw(st.floats(2.0, 20.0)) for _ in range(d))
+    h = tuple(draw(st.floats(0.05, 0.3)) for _ in range(d))
+    # rows near the region edge on some axes, anywhere on others
+    coord = st.one_of(
+        st.floats(-0.499, -0.4), st.floats(0.4, 0.499), st.floats(-0.4, 0.4)
+    )
+    m = draw(st.integers(1, 6))
+    Z = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                               min_size=m, max_size=m)))
+    return kernels.KernelSpec(family, C, d), A, h, Z, draw(st.integers(0, 2**32 - 1))
+
+
+def _last_inside(c, a, C, sign):
+    """The outermost double x on side sign of c with |((x - c) / a) / C| <= 1.
+
+    Bisects between c (inside) and c + 2 sign a C (outside): the test is
+    monotone in x, and halving ends in at most ~1100 steps even when the
+    boundary is 0 and the doubles next to it are subnormal.
+    """
+    c, a, C = float(c), float(a), float(C)
+    inside, outside = c, c + sign * 2.0 * a * C
+    while True:
+        mid = inside + (outside - inside) / 2.0
+        if mid == inside or mid == outside:
+            return inside
+        if abs(((mid - c) / a) / C) <= 1.0:
+            inside = mid
+        else:
+            outside = mid
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_windows())
+def test_window_weights_equal_the_dense_kernel(case):
+    """The engine's positive (row, site) set and its weights equal a dense pass.
+
+    Besides uniform sites, every row gets sites at exactly A z +- A h C on each
+    axis and at two corners of its window, where the uniform kernel is still
+    positive, and the outermost sites that rounding leaves inside the uniform
+    kernel's support. Weights are compared bitwise.
+    """
+    kern, A, h, Z, seed = case
+    d = kern.d
+    Av, hv, C = np.asarray(A), np.asarray(h), kern.support_halfwidth
+    region = Region(A=A)
+    edges = []
+    for z in Z:
+        c = Av * z
+        for j in range(d):
+            for sign in (-1.0, 1.0):
+                for xj in (c[j] + sign * Av[j] * hv[j] * C,
+                           _last_inside(c[j], Av[j] * hv[j], C, sign)):
+                    x = c.copy()
+                    x[j] = xj
+                    edges.append(x)
+        edges += [c + Av * hv * C, c - Av * hv * C]
+    edges = np.array(edges)
+    rng = np.random.default_rng(seed)
+    sites = np.vstack(
+        [rng.uniform(-Av / 2, Av / 2, (300, d)), edges[region.contains(edges)]]
+    )
+    data = SpatialDataset(region=region, sites=sites, responses=np.zeros(len(sites)))
+
+    start, L = lpfit._strips(data, kern, h, Z)
+    W = lpfit._weigh(data, kern, h, Z, start, L)
+    order = data.by_first_axis.order
+    for r, z in enumerate(Z):
+        dense = 1.0
+        for j in range(d):
+            u = (data.sites[:, j] - Av[j] * z[j]) / (Av[j] * hv[j])
+            dense = dense * kernels.eval_kernel_axis(kern, u)
+        expected = np.flatnonzero(dense > 0.0)
+        k = np.flatnonzero(W[r] > 0.0)
+        rows, w = lpfit.window(data, kern, h, z)
+        for got_rows, got_w in ((order[start[r] + k], W[r, k]), (rows, w)):
+            by_row = np.argsort(got_rows)
+            assert got_rows[by_row].tolist() == expected.tolist()
+            assert got_w[by_row].tobytes() == dense[expected].tobytes()
 
 
 @PROPERTY

@@ -230,6 +230,42 @@ def test_replication_leaves_blas_workers_idle():
     assert process_s - thread_s <= 0.25 * thread_s
 
 
+FAULT_PROBE = """
+import resource
+from spatial_lp import mc
+# Table-1 case (ii): n = 1000, CAR(1) field on 800 knots
+spec = mc.ExperimentSpec(
+    reps=20, n=1000, A=(10.0, 10.0), master_seed=20220718,
+    error=mc.ErrorCase(
+        "car1", sigma2=0.01, lam=1.0, tau2=0.01, n_knots=800, buffer=2.0
+    ),
+)
+for rep in range(3):
+    mc.run_replication(spec, rep)
+faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for rep in range(spec.reps):
+    mc.run_replication(spec, rep)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0) / spec.reps)
+"""
+
+
+def test_replication_makes_few_page_faults():
+    """Case-(ii) replications reuse heap memory instead of faulting in pages.
+
+    Runs in a fresh interpreter with the allocator's default settings. A
+    temporary over glibc's mmap threshold is mapped on each allocation and
+    unmapped on free, so every use faults its pages in again (about 2 500
+    minor faults per replication with dense (rows x n) weight blocks).
+    """
+    src = str(Path(mc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    assert float(out.stdout) <= 100.0
+
+
 def test_from_config_reads_only_present_keys():
     base = {"reps": 2, "n": 100, "A": [10.0, 10.0]}
     spec = mc.ExperimentSpec.from_config(base)
