@@ -128,6 +128,6 @@ def build_layout(d: int, p: int) -> BasisLayout:
 
 def parse_index(text: str) -> MultiIndex:
     """Parse a digit-string encoding, e.g. '' -> (), '12' -> (1, 2)."""
-    if not text.isdigit() and text != "":
+    if not isinstance(text, str) or not (text.isdigit() or text == ""):
         raise ValueError(f"multi-index string must be digits, got {text!r}")
     return tuple(int(c) for c in text)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels, mc
-from .basis import build_layout, parse_index
+from . import __version__, kernels, lpfit, mc
+from .basis import build_layout, parse_index, validate_index
 from .dataset import (
     SpatialDataset,
     generate_sites,
@@ -28,7 +28,6 @@ from .dataset import (
 )
 from .inference import (
     confidence_interval,
-    make_residual_provider,
     two_sample_test,
     two_sample_variance,
     variance_hat,
@@ -53,6 +52,15 @@ SECTION_KEYS = {
     "error": {"kind", "sigma2", "lambda", "tau2", "n_knots", "buffer"},
     "kernel": {"family", "C_K"},
 }
+# Keys holding one number per axis; z_grid holds one array of them per axis.
+AXIS_KEYS = {"A", "h", "fit_h", "pilot_h", "variance_h", "taper_b", "z"}
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+        for v in value
+    )
 
 
 def _load_config(path, allowed: set) -> dict:
@@ -76,6 +84,12 @@ def _load_config(path, allowed: set) -> dict:
         unknown |= {f"{key}.{k}" for k in set(section) - SECTION_KEYS[key]}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key in sorted(AXIS_KEYS & cfg.keys()):
+        if not _is_numbers(cfg[key]):
+            raise ConfigError(f"{path}: {key} must be a JSON array of numbers")
+    grid = cfg.get("z_grid", [])
+    if not (isinstance(grid, list) and all(map(_is_numbers, grid))):
+        raise ConfigError(f"{path}: z_grid must be a JSON array of arrays of numbers")
     return _Config(cfg)
 
 
@@ -117,14 +131,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fitted_once(mhat):
-    """m_hat that fits each distinct point once; windows of a grid overlap."""
+def _fitted_once(dataset, config):
+    """m_hat by config's fits, each distinct point once; windows of a grid overlap."""
     fitted = {}
 
     def cached(Z):
         new = {z.tobytes(): z for z in Z if z.tobytes() not in fitted}
         if new:
-            fitted.update(zip(new, mhat(np.array(list(new.values())))))
+            beta = lpfit.fit_many(dataset, config, np.array(list(new.values())))[0]
+            fitted.update(zip(new, beta[:, 0]))
         return np.array([fitted[z.tobytes()] for z in Z])
 
     return cached
@@ -159,7 +174,7 @@ def cmd_fit(args) -> int:
     variance_h = tuple(cfg.get("variance_h", cfg["h"]))
     if with_ci:
         res_cfg = FitConfig(p=config.p, kernel=kern, h=variance_h)
-        mhat = _fitted_once(make_residual_provider(dataset, res_cfg))
+        mhat = _fitted_once(dataset, res_cfg)
     mom = config.moments()
 
     out = Path(args.out)
@@ -175,7 +190,7 @@ def cmd_fit(args) -> int:
             fit.bias_hat = bias
             varest = None
             if with_ci:
-                varest = variance_hat(dataset, mhat, kern, variance_h, taper, zarr)
+                varest = variance_hat(dataset, res_cfg, taper, zarr, mhat)
             for k, idx in enumerate(fit.layout.indices):
                 row = {
                     "z": ";".join(f"{v:g}" for v in z),
@@ -184,7 +199,7 @@ def cmd_fit(args) -> int:
                     "bias": (
                         ""
                         if bias is None
-                        else derivative_bias(config, bias, idx)
+                        else derivative_bias(fit.layout, idx, bias, config.h)
                     ),
                     "boundary": int(fit.boundary_flag),
                     "error": "",
@@ -243,6 +258,18 @@ def cmd_mc(args) -> int:
     return 0
 
 
+def _derivative_index(text, d: int, p: int):
+    """The multi-index of an idx string, checked against the dimension and order."""
+    try:
+        idx = parse_index(text)
+        validate_index(idx, d)
+    except ValueError as exc:
+        raise ConfigError(f"idx: {exc}")
+    if len(idx) > p:
+        raise ConfigError(f"idx: multi-index {idx} has order {len(idx)} > p = {p}")
+    return idx
+
+
 TWO_SAMPLE_KEYS = {"p", "kernel", "h", "variance_h", "taper_b", "z", "idx", "tau"}
 
 
@@ -257,17 +284,14 @@ def cmd_two_sample(args) -> int:
     h = tuple(cfg["h"])
     config = FitConfig(p=cfg.get("p", mc.ExperimentSpec.p), kernel=kern, h=h)
     z = np.asarray(cfg.get("z", (0.0,) * d), dtype=float)
-    idx = parse_index(cfg.get("idx", ""))
+    idx = _derivative_index(cfg.get("idx", ""), d, config.p)
     tau = cfg.get("tau", mc.ExperimentSpec.tau)
     taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"]))
-    variance_h = tuple(cfg.get("variance_h", h))
+    res_cfg = FitConfig(p=config.p, kernel=kern, h=tuple(cfg.get("variance_h", h)))
 
     fit1 = fit_at(ds1, config, z)
     fit2 = fit_at(ds2, config, z)
-    res_cfg = FitConfig(p=config.p, kernel=kern, h=variance_h)
-    mhat1 = make_residual_provider(ds1, res_cfg)
-    mhat2 = make_residual_provider(ds2, res_cfg)
-    V = two_sample_variance(ds1, ds2, kern, variance_h, taper, z, mhat1, mhat2)
+    V = two_sample_variance(ds1, ds2, res_cfg, taper, z)
     report = two_sample_test(fit1, fit2, V, config.moments(), idx, tau)
 
     out = Path(args.out)

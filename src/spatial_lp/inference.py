@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import basis, kernels, lpfit
+from . import kernels, lpfit
 from .dataset import SpatialDataset
-from .lpfit import FitConfig, FitError, FitResult, derivative_variance
+from .lpfit import FitConfig, FitError, FitResult, derivative_bias, derivative_variance
 
 
 class DegenerateWindow(FitError):
@@ -50,28 +50,26 @@ class TestReport:
     decision: str  # "reject", "accept", or "inconclusive"
 
 
-def make_residual_provider(dataset: SpatialDataset, config: FitConfig):
-    """m_hat by local polynomial fits: (m, d) rescaled points to (m,) intercepts."""
-    return lambda Z: lpfit.fit_many(dataset, config, Z)[0][:, 0]
-
-
-def _window(dataset: SpatialDataset, kernel, h, z, mhat):
+def _window(dataset: SpatialDataset, config: FitConfig, z, mhat):
     """(g_hat, X, u): density at z, in-window sites and u_i = K_i r_i / (n g_hat).
 
     g_hat = (n h_1...h_d)^{-1} sum_i K_i with K_i = K_Ah(X_i - A z), and
-    r_i = Y_i - m_hat(X_i / A). Sites outside the kernel window carry zero
-    weight, so they drop out of every tapered sum and need no residual fit.
+    r_i = Y_i - m_hat(X_i / A), m_hat the order-p fit of config at each
+    window site unless mhat maps the (m, d) rescaled sites to their means.
+    Sites outside the kernel window carry zero weight, so they drop out of
+    every tapered sum and need no residual fit.
     """
-    rows, w = lpfit.window(dataset, kernel, h, z)
-    g = float(w.sum() / (dataset.n * np.prod(h)))
+    rows, w = lpfit.window(dataset, config.kernel, config.h, z)
+    g = float(w.sum() / (dataset.n * np.prod(config.h)))
     if g <= 0.0:
         raise DegenerateWindow(f"estimated density at z={z} is zero")
     X = dataset.sites[rows]
-    r = dataset.responses[rows] - mhat(X / dataset.region.sides())
-    return g, X, w * r / (dataset.n * g)
+    Z = X / dataset.region.sides()
+    m = lpfit.fit_many(dataset, config, Z)[0][:, 0] if mhat is None else mhat(Z)
+    return g, X, w * (dataset.responses[rows] - m) / (dataset.n * g)
 
 
-def _long_run_variance(windows, kernel, h, taper, An) -> float:
+def _long_run_variance(windows, config: FitConfig, taper, An) -> float:
     """A_n / (h_1...h_d kappa_0^(2)) sum_{a,b} u_a' Kbar(X_a, X_b) u_b.
 
     windows holds one (X_a, u_a) per sample. The taper is symmetric, so each
@@ -82,40 +80,26 @@ def _long_run_variance(windows, kernel, h, taper, An) -> float:
         for b, (Xb, ub) in enumerate(windows[a:], start=a):
             term = float(ua @ kernels.eval_taper_pairs(taper, Xa, Xb) @ ub)
             s += term if a == b else 2.0 * term
-    return An / (float(np.prod(h)) * kernels.kappa0_r2(kernel)) * s
+    return An / (float(np.prod(config.h)) * kernels.kappa0_r2(config.kernel)) * s
 
 
 def variance_hat(
     dataset: SpatialDataset,
-    mhat,
-    kernel: kernels.KernelSpec,
-    h,
+    config: FitConfig,
     taper: kernels.TaperSpec,
     z,
+    mhat=None,
 ) -> VarianceEstimate:
     """Tapered double-sum estimate of the asymptotic variance factor.
 
-    mhat maps an (m, d) array of rescaled points to the (m,) fitted means;
-    it supplies the residuals Y_i - m_hat(X_i / A).
+    The window is config's kernel at config.h; the residuals are
+    Y_i - m_hat(X_i / A) with m_hat the order-p fit of config, or mhat,
+    which maps an (m, d) array of rescaled points to the (m,) means.
     """
     z = np.asarray(z, dtype=float)
-    h = tuple(float(v) for v in np.atleast_1d(h))
-    g, X, u = _window(dataset, kernel, h, z, mhat)
-    W = _long_run_variance([(X, u)], kernel, h, taper, dataset.region.volume)
+    g, X, u = _window(dataset, config, z, mhat)
+    W = _long_run_variance([(X, u)], config, taper, dataset.region.volume)
     return VarianceEstimate(g_hat=g, W_hat=W)
-
-
-def interval_halfwidth(
-    moments: kernels.MomentMatrices,
-    layout,
-    idx,
-    W_hat: float,
-    An: float,
-    h,
-    tau: float,
-) -> float:
-    var = derivative_variance(moments, layout, idx, W_hat, An, h)
-    return normal_quantile(1.0 - tau / 2.0) * np.sqrt(max(var, 0.0))
 
 
 def confidence_interval(
@@ -131,36 +115,33 @@ def confidence_interval(
     idx = tuple(idx)
     center = fit.derivative(idx)
     if fit.bias_hat is not None:
-        k = fit.layout.position(idx)
-        center -= basis.derivative_scale(idx, fit.h) * fit.bias_hat[k]
-    hw = interval_halfwidth(
-        moments, fit.layout, idx, varest.W_hat, fit.An, fit.h, tau
-    )
+        center -= derivative_bias(fit.layout, idx, fit.bias_hat, fit.h)
+    var = derivative_variance(moments, fit.layout, idx, varest.W_hat, fit.An, fit.h)
+    hw = normal_quantile(1.0 - tau / 2.0) * np.sqrt(max(var, 0.0))
     return (center - hw, center + hw)
 
 
 def two_sample_variance(
     ds1: SpatialDataset,
     ds2: SpatialDataset,
-    kernel: kernels.KernelSpec,
-    h,
+    config: FitConfig,
     taper: kernels.TaperSpec,
     z,
-    mhat1,
-    mhat2,
+    mhat1=None,
+    mhat2=None,
 ) -> float:
     """Pooled variance V_check: the tapered double sum over both samples, u_2 negated.
 
     It equals (V1/g1^2 + V2/g2^2 - 2 V3/(g1 g2)) / kappa_0^(2) with the
-    within-sample sums V1, V2 and the cross-sample sum V3.
+    within-sample sums V1, V2 and the cross-sample sum V3. Each sample's
+    window and residuals are those of variance_hat.
     """
     if ds1.region != ds2.region:
         raise ValueError("both samples must share one sampling region")
     z = np.asarray(z, dtype=float)
-    h = tuple(float(v) for v in np.atleast_1d(h))
-    _, X1, u1 = _window(ds1, kernel, h, z, mhat1)
-    _, X2, u2 = _window(ds2, kernel, h, z, mhat2)
-    V = _long_run_variance([(X1, u1), (X2, -u2)], kernel, h, taper, ds1.region.volume)
+    _, X1, u1 = _window(ds1, config, z, mhat1)
+    _, X2, u2 = _window(ds2, config, z, mhat2)
+    V = _long_run_variance([(X1, u1), (X2, -u2)], config, taper, ds1.region.volume)
     if V < 0.0:
         warnings.warn("pooled two-sample variance negative; clamped to 0")
         return 0.0

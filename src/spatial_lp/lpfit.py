@@ -272,40 +272,27 @@ def _solve_stack(XWX: np.ndarray, XWY: np.ndarray) -> np.ndarray:
     return np.linalg.solve(XWX, XWY[..., None])[..., 0]
 
 
-def top_order_moment_vector(
-    config: FitConfig, derivatives: dict[tuple, float]
-) -> np.ndarray:
-    """Assemble the top-order term vector with entries (dm / s!) prod_l h_{j_l}."""
-    return np.array(
-        [
-            derivatives[idx] / basis.derivative_scale(idx, config.h)
-            for idx in config.layout().top_indices
-        ]
-    )
-
-
 def estimate_bias(dataset: SpatialDataset, config: FitConfig, z) -> np.ndarray:
     """Plug-in bias vector S^{-1} B M_hat from an order-(p+1) pilot fit.
 
-    The result is on the rescaled (H) coefficient scale: the intercept
-    component is the bias of beta_hat[0]; component j_1..j_L divided by
-    prod_l h_{j_l} and multiplied by s! is the bias on the derivative scale.
+    M_hat holds each top-order pilot coefficient times prod_l h_{j_l}, the
+    (p+1)-th derivative over s! on the H scale. The result is on the same
+    scale: the intercept component is the bias of beta_hat[0], and
+    derivative_bias maps component j_1..j_L to the derivative scale.
     """
-    pilot = config.pilot()
-    pilot_fit = fit_at(dataset, pilot, z)
-    top = {
-        idx: pilot_fit.derivative(idx) for idx in config.layout().top_indices
-    }
-    Mn = top_order_moment_vector(config, top)
+    pilot = fit_at(dataset, config.pilot(), z)
+    Mn = np.array([
+        pilot.beta_hat[pilot.layout.position(idx)] * basis.monomial(idx, config.h)
+        for idx in config.layout().top_indices
+    ])
     mom = config.moments()
     return np.linalg.solve(mom.S, mom.B @ Mn)
 
 
-def derivative_bias(config: FitConfig, bias_vec: np.ndarray, idx) -> float:
+def derivative_bias(layout, idx, bias_vec: np.ndarray, h) -> float:
     """Map a component of the H-scale bias vector to the derivative scale."""
     idx = tuple(idx)
-    k = config.layout().position(idx)
-    return float(basis.derivative_scale(idx, config.h) * bias_vec[k])
+    return float(basis.derivative_scale(idx, h) * bias_vec[layout.position(idx)])
 
 
 def derivative_variance(
@@ -331,7 +318,9 @@ def mse_estimate(
     """Plug-in MSE of the derivative estimator: squared bias plus variance."""
     if variance_factor < 0:
         raise ValueError("variance factor must be nonnegative")
-    b = derivative_bias(config, estimate_bias(dataset, config, z), idx)
+    b = derivative_bias(
+        config.layout(), idx, estimate_bias(dataset, config, z), config.h
+    )
     var = derivative_variance(
         config.moments(), config.layout(), idx, variance_factor,
         dataset.region.volume, config.h,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels, randfield
 from .dataset import Region, SamplingDensity, SpatialDataset, generate_sites, rep_rng
-from .inference import make_residual_provider, normal_quantile, variance_hat
+from .inference import normal_quantile, variance_hat
 from .lpfit import FitConfig, FitError, derivative_variance, estimate_bias, fit_at
 from .randfield import FieldModel, NoiseModel
 
@@ -266,9 +266,8 @@ def run_replication(spec: ExperimentSpec, rep: int) -> tuple[float, bool]:
     bias_vec = estimate_bias(dataset, config, zpt)
 
     res_config = FitConfig(p=spec.p, kernel=kern, h=spec.variance_h)
-    mhat = make_residual_provider(dataset, res_config)
     taper = kernels.TaperSpec(widths=spec.taper_b)
-    varest = variance_hat(dataset, mhat, kern, spec.variance_h, taper, zpt)
+    varest = variance_hat(dataset, res_config, taper, zpt)
 
     var0 = derivative_variance(
         config.moments(), config.layout(), (), varest.W_hat, region.volume, spec.fit_h

@@ -291,11 +291,8 @@ def _w_hat_one_seed(n: int, rep: int, taper_width: float) -> float:
     y = rng.standard_normal(n)
     data = SpatialDataset(region=region, sites=sites, responses=y)
     config = lpfit.FitConfig(p=1, kernel=KERN2, h=(0.25, 0.25))
-    mhat = inference.make_residual_provider(data, config)
     taper = kernels.TaperSpec(widths=(taper_width, taper_width))
-    est = inference.variance_hat(
-        data, mhat, KERN2, (0.25, 0.25), taper, np.zeros(2)
-    )
+    est = inference.variance_hat(data, config, taper, np.zeros(2))
     return est.W_hat
 
 
@@ -347,11 +344,7 @@ def _two_sample_rep(rep: int, n: int, gap: float, master: int) -> bool:
 
     fit1 = lpfit.fit_at(ds1, config, np.zeros(2))
     fit2 = lpfit.fit_at(ds2, config, np.zeros(2))
-    mhat1 = inference.make_residual_provider(ds1, config)
-    mhat2 = inference.make_residual_provider(ds2, config)
-    V = inference.two_sample_variance(
-        ds1, ds2, KERN2, h, taper, np.zeros(2), mhat1, mhat2
-    )
+    V = inference.two_sample_variance(ds1, ds2, config, taper, np.zeros(2))
     report = inference.two_sample_test(
         fit1, fit2, V, config.moments(), (), 0.05
     )

@@ -473,3 +473,57 @@ def test_mc_summary_rebuilds_its_spec(tmp_path, seed):
         t, covered = mc.run_replication(spec, rep)
         rebuilt.append(f"{rep},{t:.17g},{int(covered)}")
     assert rows == ["rep,t_hat,covered", *rebuilt]
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [("mc", {"reps": 2, "n": 50, "A": 10}, "A"),
+     ("mc", {"reps": 2, "n": 50, "A": [10.0, 10.0], "fit_h": [0.2, "0.2"]}, "fit_h"),
+     ("simulate", {"n": 50, "A": 10.0}, "A"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "taper_b": 2.0}, "taper_b"),
+     ("fit", {"h": [0.25, 0.25], "z_grid": [0.0, 0.1]}, "z_grid"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "pilot_h": [float("nan"), 0.3]},
+      "pilot_h"),
+     ("two-sample", {"h": 0.25, "taper_b": [2.0, 2.0]}, "h"),
+     ("two-sample", {"h": [0.25, 0.25], "taper_b": [2.0, 2.0], "z": [True, 0]}, "z")],
+    ids=["mc-A", "mc-fit_h", "simulate-A", "fit-taper_b", "fit-z_grid",
+         "fit-pilot_h", "two-sample-h", "two-sample-z"],
+)
+def test_per_axis_key_must_be_an_array_of_numbers(
+    tmp_path, capsys, sim_data, command, payload, key
+):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    flags = {"fit": ("--data",), "two-sample": ("--data1", "--data2")}
+    for flag in flags.get(command, ()):
+        argv += [flag, str(sim_data)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be a JSON array" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "idx, p, named",
+    [("21", 2, "not non-decreasing"), ("11", 1, "order 2 > p = 1"),
+     ("3", 1, "outside 1..2"), ("1x", 1, "must be digits"), (12, 2, "must be digits")],
+)
+def test_two_sample_index_is_checked_before_any_fit(
+    tmp_path, capsys, monkeypatch, sim_data, idx, p, named
+):
+    fits = []
+    monkeypatch.setattr(cli, "fit_at", lambda *args: fits.append(args))
+    cfg = _write(
+        tmp_path / "ts.json",
+        {"p": p, "h": [0.3, 0.3], "taper_b": [2.0, 2.0], "idx": idx},
+    )
+    argv = ["two-sample", "--config", cfg, "--out", str(tmp_path / "o"),
+            "--data1", str(sim_data), "--data2", str(sim_data)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: two-sample: idx") and named in err
+    assert not fits
+    assert not (tmp_path / "o").exists()

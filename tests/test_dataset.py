@@ -231,10 +231,7 @@ def test_sorted_copies_are_built_once_per_dataset(monkeypatch):
     z = np.array([0.1, -0.1])
     lpfit.fit_at(data, config, z)
     lpfit.fit_many(data, config, np.array([z, -z]))
-    inference.variance_hat(
-        data, inference.make_residual_provider(data, config), kern, (0.3, 0.3),
-        kernels.TaperSpec(widths=(2.0, 2.0)), z,
-    )
+    inference.variance_hat(data, config, kernels.TaperSpec(widths=(2.0, 2.0)), z)
     assert len(built) == 1
     srt = data.by_first_axis
     assert np.all(np.diff(srt.columns[0]) >= 0.0)

@@ -1,6 +1,7 @@
 """Variance estimation, confidence intervals, and the two-sample test."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +9,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spatial_lp import basis, inference, kernels, lpfit
-from spatial_lp.dataset import Region, SpatialDataset
+from spatial_lp.dataset import Region, SpatialDataset, save_csv
 
 from _oracles import bisect_normal_quantile
 
 KERN = kernels.KernelSpec(family="product-triangular", d=2)
 MOM = kernels.moment_matrices(KERN, basis.build_layout(2, 1))
 LAYOUT = basis.build_layout(2, 1)
+
+
+def _config(h, kern=KERN):
+    return lpfit.FitConfig(p=1, kernel=kern, h=tuple(h))
 
 
 def _dataset(n, seed, mean=None, noise=1.0, A=10.0):
@@ -51,7 +56,7 @@ def test_density_hat_uniform_sites():
     data = _dataset(4000, 0)
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
     g = inference.variance_hat(
-        data, lambda z: 0.0, KERN, (0.3, 0.3), taper, (0.0, 0.0)
+        data, _config((0.3, 0.3)), taper, (0.0, 0.0), lambda z: 0.0
     ).g_hat
     assert g == pytest.approx(1.0, abs=0.06)
 
@@ -61,8 +66,8 @@ def test_variance_zero_for_exact_residuals():
     data = _dataset(500, 1, mean=mean, noise=0.0)
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
     est = inference.variance_hat(
-        data, lambda Z: mean(np.atleast_2d(Z)), KERN, (0.25, 0.25),
-        taper, (0.0, 0.0),
+        data, _config((0.25, 0.25)), taper, (0.0, 0.0),
+        lambda Z: mean(np.atleast_2d(Z)),
     )
     assert est.W_hat == pytest.approx(0.0, abs=1e-18)
     assert est.g_hat > 0
@@ -74,7 +79,7 @@ def test_vanishing_taper_keeps_only_diagonal():
     z = np.zeros(2)
     mhat = lambda z: 0.0
     taper = kernels.TaperSpec(widths=(1e-9, 1e-9))
-    est = inference.variance_hat(data, mhat, KERN, h, taper, z)
+    est = inference.variance_hat(data, _config(h), taper, z, mhat)
 
     A = data.region.sides()
     w = kernels.eval_kernel_many(KERN, (data.sites - A * z) / (A * np.asarray(h)))
@@ -95,16 +100,14 @@ def test_degenerate_window():
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
     with pytest.raises(inference.DegenerateWindow):
         inference.variance_hat(
-            data, lambda z: 0.0, KERN, (0.05, 0.05), taper, (-0.4, -0.4)
+            data, _config((0.05, 0.05)), taper, (-0.4, -0.4), lambda z: 0.0
         )
 
 
 def test_variance_hat_with_fitted_residuals_runs():
     data = _dataset(400, 3, mean=lambda z: np.cos(z[:, 0] + z[:, 1]))
-    config = lpfit.FitConfig(p=1, kernel=KERN, h=(0.25, 0.25))
-    mhat = inference.make_residual_provider(data, config)
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
-    est = inference.variance_hat(data, mhat, KERN, (0.25, 0.25), taper, (0.0, 0.0))
+    est = inference.variance_hat(data, _config((0.25, 0.25)), taper, (0.0, 0.0))
     assert est.W_hat >= 0.0
     assert est.g_hat > 0.0
 
@@ -140,26 +143,32 @@ def test_W_hat_nonnegative_when_taper_matrix_is_psd(window):
     mhat = lambda Z: 0.3 + Z @ slope
     kern = kernels.KernelSpec(family="product-triangular", d=d)
     taper = kernels.TaperSpec(widths=b)
+    config = _config(h, kern)
     try:
-        _, X, _ = inference._window(data, kern, h, z, mhat)
+        _, X, _ = inference._window(data, config, z, mhat)
     except inference.DegenerateWindow:
         assume(False)
     eig = np.linalg.eigvalsh(kernels.eval_taper_pairs(taper, X, X))
     assume(eig.min() >= -1e-12 * eig.max())
-    est = inference.variance_hat(data, mhat, kern, h, taper, z)
+    est = inference.variance_hat(data, config, taper, z, mhat)
     assert est.W_hat >= 0.0
 
 
 def test_interval_halfwidth_formula():
-    An, h, W, tau = 100.0, np.array([0.2, 0.2]), 0.5, 0.05
-    hw = inference.interval_halfwidth(MOM, LAYOUT, (1,), W, An, h, tau)
+    An, h, W, tau = 100.0, (0.2, 0.2), 0.5, 0.05
+    fit = _fit_result([1.0, 0.0, 0.0], h=h, An=An)
+
+    def halfwidth(W):
+        varest = inference.VarianceEstimate(g_hat=1.0, W_hat=W)
+        lo, hi = inference.confidence_interval(fit, varest, MOM, (1,), tau)
+        return 0.5 * (hi - lo)
+
     sks = MOM.sks()
     var = W * sks[1, 1] / (An * 0.04 * 0.2**2)
     q = inference.normal_quantile(0.975)
-    assert hw == pytest.approx(q * np.sqrt(var), rel=1e-12)
+    assert halfwidth(W) == pytest.approx(q * np.sqrt(var), rel=1e-12)
     # quadrupling W doubles the width
-    hw4 = inference.interval_halfwidth(MOM, LAYOUT, (1,), 4 * W, An, h, tau)
-    assert hw4 == pytest.approx(2 * hw, rel=1e-12)
+    assert halfwidth(4 * W) == pytest.approx(2 * halfwidth(W), rel=1e-12)
 
 
 def _fit_result(beta, h=(0.2, 0.2), An=100.0, bias=None):
@@ -180,10 +189,28 @@ def test_confidence_interval_is_bias_corrected():
     varest = inference.VarianceEstimate(g_hat=1.0, W_hat=0.5)
     lo, hi = inference.confidence_interval(fit, varest, MOM, (), 0.05)
     assert 0.5 * (lo + hi) == pytest.approx(1.7, rel=1e-12)
-    hw = inference.interval_halfwidth(MOM, LAYOUT, (), 0.5, 100.0, fit.h, 0.05)
+    var = lpfit.derivative_variance(MOM, LAYOUT, (), 0.5, 100.0, fit.h)
+    hw = inference.normal_quantile(0.975) * np.sqrt(var)
     assert hi - lo == pytest.approx(2 * hw, rel=1e-12)
+    # a first-order bias is on the H scale: divided by its axis bandwidth
+    fit = _fit_result([2.0, 0.1, -0.1], h=(0.2, 0.4), bias=[0.3, 0.02, 0.04])
+    lo, hi = inference.confidence_interval(fit, varest, MOM, (2,), 0.05)
+    assert 0.5 * (lo + hi) == pytest.approx(-0.1 - 0.04 / 0.4, rel=1e-12)
     with pytest.raises(ValueError):
         inference.confidence_interval(fit, varest, MOM, (), 1.5)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "data").mkdir()
+    data = _dataset(2000, 11, mean=lambda z: np.cos(z[:, 0] + z[:, 1]))
+    save_csv(data, tmp_path / "data" / "data.csv")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["lo"] < namespace["hi"]
 
 
 # --- two-sample test --------------------------------------------------------
@@ -196,7 +223,7 @@ def test_two_sample_variance_identical_samples_is_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         V = inference.two_sample_variance(
-            data, data, KERN, (0.25, 0.25), taper, np.zeros(2), mhat, mhat
+            data, data, _config((0.25, 0.25)), taper, np.zeros(2), mhat, mhat
         )
     assert V == pytest.approx(0.0, abs=1e-12)
 
@@ -207,7 +234,7 @@ def test_two_sample_variance_positive_for_independent_samples():
     taper = kernels.TaperSpec(widths=(1.0, 1.0))
     mhat = lambda z: 0.0
     V = inference.two_sample_variance(
-        d1, d2, KERN, (0.25, 0.25), taper, np.zeros(2), mhat, mhat
+        d1, d2, _config((0.25, 0.25)), taper, np.zeros(2), mhat, mhat
     )
     assert V > 0.0
 
@@ -269,7 +296,7 @@ def test_two_sample_variance_is_the_three_term_form(pair):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = inference.two_sample_variance(
-            *samples, kern, h, taper, np.asarray(z), *mhats
+            *samples, _config(h, kern), taper, np.asarray(z), *mhats
         )
     scale = sum(abs(t) for t in terms) / kernels.kappa0_r2(kern)
     assert abs(got - expected) <= 1e-12 * scale
@@ -286,11 +313,8 @@ def test_two_sample_variance_fits_each_window_residual_once(monkeypatch):
     monkeypatch.setattr(lpfit, "fit_many", counting_fit_many)
     d1, d2 = _dataset(400, 5), _dataset(300, 6)
     h, z = (0.25, 0.25), np.array([0.05, -0.05])
-    config = lpfit.FitConfig(p=1, kernel=KERN, h=h)
     inference.two_sample_variance(
-        d1, d2, KERN, h, kernels.TaperSpec(widths=(1.0, 1.0)), z,
-        inference.make_residual_provider(d1, config),
-        inference.make_residual_provider(d2, config),
+        d1, d2, _config(h), kernels.TaperSpec(widths=(1.0, 1.0)), z
     )
     expected = []
     for data in (d1, d2):
@@ -307,7 +331,7 @@ def test_two_sample_variance_region_mismatch():
     taper = kernels.TaperSpec(widths=(1.0, 1.0))
     with pytest.raises(ValueError):
         inference.two_sample_variance(
-            d1, d2, KERN, (0.25, 0.25), taper, np.zeros(2),
+            d1, d2, _config((0.25, 0.25)), taper, np.zeros(2),
             lambda z: 0.0, lambda z: 0.0,
         )
 

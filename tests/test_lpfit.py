@@ -81,17 +81,42 @@ def test_quadratic_bias_plug_in():
 def test_derivative_bias_scaling():
     config = _config(2, 1, 0.2)
     vec = np.array([0.5, 0.02, -0.04])
-    assert lpfit.derivative_bias(config, vec, ()) == pytest.approx(0.5)
-    assert lpfit.derivative_bias(config, vec, (1,)) == pytest.approx(0.02 / 0.2)
-    assert lpfit.derivative_bias(config, vec, (2,)) == pytest.approx(-0.04 / 0.2)
+    layout, h = config.layout(), config.h
+    assert lpfit.derivative_bias(layout, (), vec, h) == pytest.approx(0.5)
+    assert lpfit.derivative_bias(layout, (1,), vec, h) == pytest.approx(0.02 / 0.2)
+    assert lpfit.derivative_bias(layout, (2,), vec, h) == pytest.approx(-0.04 / 0.2)
 
 
-def test_top_order_moment_vector():
-    config = _config(2, 1, 0.2)
-    derivs = {(1, 1): 2.0, (1, 2): 6.0, (2, 2): -4.0}
-    out = lpfit.top_order_moment_vector(config, derivs)
-    # entries are (dm / s!) h_{j1} h_{j2}
-    np.testing.assert_allclose(out, [2.0 / 2 * 0.04, 6.0 * 0.04, -4.0 / 2 * 0.04])
+def test_cubic_bias_with_mixed_terms_and_unequal_bandwidths():
+    """A noiseless cubic with every third-order monomial, p = 2, d = 2.
+
+    The order-3 pilot recovers each top-order coefficient c_t exactly, so
+    the bias vector is S^{-1} B M with M_t = c_t prod_l h_{j_l} at the fit
+    bandwidths (not the pilot's). With p = 2 the mixed indices (1, 1, 2)
+    and (1, 2, 2) reach the first-order rows of B, so a wrong s! or a
+    swapped bandwidth on them moves the result.
+    """
+    top = {(1, 1, 1): 1.5, (1, 1, 2): -2.0, (1, 2, 2): 3.0, (2, 2, 2): -1.0}
+
+    def mean(u):
+        lower = 0.4 + 0.3 * u[:, 0] - 0.2 * u[:, 1] + u[:, 0] * u[:, 1]
+        return lower + sum(c * np.prod(u[:, np.array(t) - 1], axis=1)
+                           for t, c in top.items())
+
+    data = _uniform_dataset(2, 2000, 31, mean)
+    h = (0.2, 0.3)
+    config = lpfit.FitConfig(
+        p=2, kernel=kernels.KernelSpec(family="product-triangular", d=2),
+        h=h, pilot_h=(0.3, 0.35),
+    )
+    z = (0.05, -0.1)
+    tops = config.layout().top_indices
+    M = np.array([top[t] * np.prod([h[j - 1] for j in t]) for t in tops])
+    mom = config.moments()
+    assert mom.B[1, tops.index((1, 2, 2))] and mom.B[2, tops.index((1, 1, 2))]
+    expected = np.linalg.solve(mom.S, mom.B @ M)
+    got = lpfit.estimate_bias(data, config, z)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 
 def test_fit_mean_at_is_intercept():

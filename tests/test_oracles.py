@@ -43,11 +43,8 @@ def _program_var0(spec, data) -> float:
     """var0 as the MC harness forms it from W_hat."""
     kern = spec.kernel()
     res_config = lpfit.FitConfig(p=spec.p, kernel=kern, h=spec.variance_h)
-    mhat = inference.make_residual_provider(data, res_config)
     taper = kernels.TaperSpec(widths=spec.taper_b)
-    est = inference.variance_hat(
-        data, mhat, kern, spec.variance_h, taper, np.asarray(spec.z)
-    )
+    est = inference.variance_hat(data, res_config, taper, np.asarray(spec.z))
     fit_config = lpfit.FitConfig(p=spec.p, kernel=kern, h=spec.fit_h)
     sks00 = fit_config.moments().sks()[0, 0]
     return est.W_hat * sks00 / (data.region.volume * float(np.prod(spec.fit_h)))
