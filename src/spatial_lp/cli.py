@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -93,6 +94,21 @@ def _load_config(path, allowed: set) -> dict:
     return _Config(cfg)
 
 
+def _check_point_axes(cfg, d: int, per: str) -> None:
+    """z holds one coordinate, and z_grid one array, for each of d axes."""
+    for key in ("z", "z_grid"):
+        if key in cfg and len(cfg[key]) != d:
+            raise ConfigError(f"{key} has {len(cfg[key])} axes, expected {d} ({per})")
+
+
+def _level(cfg, upper: float) -> float:
+    """The config's tau (or its default), checked to lie in (0, upper)."""
+    tau = cfg.get("tau", mc.ExperimentSpec.tau)
+    if not (_is_numbers([tau]) and 0.0 < tau < upper):
+        raise ConfigError(f"tau must be a number in (0, {upper:g}), got {tau!r}")
+    return tau
+
+
 def _kernel(cfg, d) -> kernels.KernelSpec:
     # defaults here and below are the mc.ExperimentSpec field defaults, which
     # a dataclass keeps as class attributes
@@ -152,6 +168,8 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config, FIT_KEYS)
     dataset = load_csv(args.data)
     d = dataset.d
+    _check_point_axes(cfg, d, "one per axis of the data")
+    tau = _level(cfg, 1.0)
     kern = _kernel(cfg.get("kernel"), d)
     config = FitConfig(
         p=cfg.get("p", mc.ExperimentSpec.p),
@@ -169,7 +187,6 @@ def cmd_fit(args) -> int:
         raise ConfigError("fit config needs 'z' or 'z_grid'")
 
     with_ci = "taper_b" in cfg
-    tau = cfg.get("tau", mc.ExperimentSpec.tau)
     taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"])) if with_ci else None
     variance_h = tuple(cfg.get("variance_h", cfg["h"]))
     if with_ci:
@@ -275,17 +292,18 @@ TWO_SAMPLE_KEYS = {"p", "kernel", "h", "variance_h", "taper_b", "z", "idx", "tau
 
 def cmd_two_sample(args) -> int:
     cfg = _load_config(args.config, TWO_SAMPLE_KEYS)
+    h = tuple(cfg["h"])
+    _check_point_axes(cfg, len(h), "one per entry of h")
+    tau = _level(cfg, 0.5)
     ds1 = load_csv(args.data1)
     ds2 = load_csv(args.data2)
     if ds1.region != ds2.region:
         raise ConfigError("datasets declare different sampling regions")
     d = ds1.d
     kern = _kernel(cfg.get("kernel"), d)
-    h = tuple(cfg["h"])
     config = FitConfig(p=cfg.get("p", mc.ExperimentSpec.p), kernel=kern, h=h)
     z = np.asarray(cfg.get("z", (0.0,) * d), dtype=float)
     idx = _derivative_index(cfg.get("idx", ""), d, config.p)
-    tau = cfg.get("tau", mc.ExperimentSpec.tau)
     taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"]))
     res_cfg = FitConfig(p=config.p, kernel=kern, h=tuple(cfg.get("variance_h", h)))
 
@@ -367,8 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing keeps no state on the parser, so every call of main shares one
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError, KeyError, FitError) as exc:

@@ -228,7 +228,50 @@ def save_csv(dataset: SpatialDataset, path) -> None:
             w.writerow(row)
 
 
+def _read_rows(rows: list[str], dtype: np.dtype) -> np.ndarray:
+    """Parse comma-separated rows into records of dtype in one C-reader pass.
+
+    Every row must have exactly one field per column of dtype.
+    """
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _first_bad_row(path, lines: list[str], rows: list[str], dtype, header, d) -> str:
+    """Name the file line of the first row the reader rejects, and why.
+
+    lines are the body lines as read, rows the non-blank ones stripped. The
+    reader accepts every prefix of rows that ends before the bad row, so a
+    bisection over prefixes finds it.
+    """
+    good, bad = 0, len(rows)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _read_rows(rows[:mid], dtype)
+            good = mid
+        except ValueError:
+            bad = mid
+    linenos = [k for k, line in enumerate(lines, start=3) if line.strip()]
+    where = f"{path}: line {linenos[bad - 1]}"
+    parts = rows[bad - 1].split(",")
+    if len(parts) != len(header):
+        return f"{where}: expected {len(header)} fields, got {len(parts)}"
+    for v in parts[: d + 1]:
+        try:
+            float(v)  # a blank v would make the reader warn of an empty line
+            _read_rows([v], np.dtype(float))
+        except ValueError:
+            return f"{where}: could not convert string to float: {v!r}"
+    return f"{where}: unreadable row"
+
+
 def load_csv(path) -> SpatialDataset:
+    """Read a file written by save_csv.
+
+    Blank and whitespace-only lines are skipped; spaces around a field are
+    ignored. A value the reader cannot parse as a float, or a row with the
+    wrong number of fields, is a ValueError naming its file line.
+    """
     path = Path(path)
     with path.open() as f:
         first = f.readline().strip()
@@ -236,34 +279,26 @@ def load_csv(path) -> SpatialDataset:
             raise ValueError(f"{path}: missing '# A=...' region header on line 1")
         A = tuple(float(v) for v in first[len("# A=") :].split(","))
         header = f.readline().strip().split(",")
-        d = len(A)
-        expected = [f"x{j + 1}" for j in range(d)] + ["y"]
-        has_group = header == expected + ["group"]
-        if not has_group and header != expected:
-            raise ValueError(f"{path}: header {header} does not match region d={d}")
-        sites, ys, groups = [], [], []
-        for lineno, line in enumerate(f, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, "
-                    f"got {len(parts)}"
-                )
-            try:
-                sites.append([float(v) for v in parts[:d]])
-                ys.append(float(parts[d]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if has_group:
-                groups.append(parts[d + 1])
+        body = f.read()
+    d = len(A)
+    expected = [f"x{j + 1}" for j in range(d)] + ["y"]
+    has_group = header == expected + ["group"]
+    if not has_group and header != expected:
+        raise ValueError(f"{path}: header {header} does not match region d={d}")
+    # text mode turns every line ending into "\n", so these are the file's lines
+    lines = body.split("\n")
+    rows = [line for line in map(str.strip, lines) if line]
+    dtype = np.dtype([("v", float, (d + 1,))] + ([("g", object)] if has_group else []))
+    try:
+        records = _read_rows(rows, dtype) if rows else np.empty(0, dtype)
+    except ValueError:
+        raise ValueError(_first_bad_row(path, lines, rows, dtype, header, d)) from None
+    values = records["v"]
     return SpatialDataset(
         region=Region(A=A),
-        sites=np.array(sites),
-        responses=np.array(ys),
-        group=np.array(groups) if has_group else None,
+        sites=values[:, :d],
+        responses=values[:, d],
+        group=records["g"].astype(str) if has_group else None,
     )
 
 

@@ -82,9 +82,12 @@ def eval_kernel_axis(
 ) -> np.ndarray:
     """The 1-D factor k(u / C) / C of the product kernel, elementwise.
 
-    The result is written to out, which may be u itself.
+    The result is written to out, which may be u itself. With C = 1 the
+    two divisions by C are skipped: x / 1.0 is x in IEEE arithmetic.
     """
     C = spec.support_halfwidth
+    if C == 1.0:
+        return _base_1d(spec.family, u, out=out)
     v = np.divide(u, C, out=out)
     return np.divide(_base_1d(spec.family, v, out=v), C, out=v)
 

@@ -2,13 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spatial_lp import cli, lpfit, mc
-from spatial_lp.dataset import load_csv
+from spatial_lp.dataset import Region, SpatialDataset, load_csv, save_csv
 
 
 def _write(path, payload):
@@ -527,3 +531,125 @@ def test_two_sample_index_is_checked_before_any_fit(
     assert err.startswith("error: two-sample: idx") and named in err
     assert not fits
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, named",
+    [("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0, 0.0]}, "z has 3 axes"),
+     ("fit", {"h": [0.25, 0.25], "z_grid": [[0.0], [0.0], [0.1]]}, "z_grid has 3 axes"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "taper_b": [2.0, 2.0], "tau": 1.5},
+      "tau must be a number in (0, 1)"),
+     ("two-sample", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0], "z": [0.0]},
+      "z has 1 axes, expected 2"),
+     ("two-sample", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0], "tau": 0.5},
+      "tau must be a number in (0, 0.5)")],
+    ids=["fit-z", "fit-z_grid", "fit-tau", "two-sample-z", "two-sample-tau"],
+)
+def test_point_and_level_are_config_errors(
+    tmp_path, capsys, monkeypatch, sim_data, command, payload, named
+):
+    """A z of the wrong length or a tau out of range fails before any fit.
+
+    two-sample checks both before it reads either data file.
+    """
+    fits, reads = [], []
+    monkeypatch.setattr(cli, "fit_at", lambda *args: fits.append(args))
+    if command == "two-sample":
+        monkeypatch.setattr(cli, "load_csv", lambda path: reads.append(path))
+    cfg = _write(tmp_path / "cfg.json", payload)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    for flag in {"fit": ("--data",), "two-sample": ("--data1", "--data2")}[command]:
+        argv += [flag, str(sim_data)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: ") and named in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not fits and not reads
+    assert not (tmp_path / "o").exists()
+
+
+def _outputs(out: Path) -> dict:
+    return {
+        str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()
+    }
+
+
+def test_shared_parser_carries_no_state(tmp_path, capsys, sim_data):
+    """Commands run one after another in one process, the parser built once,
+    write what each writes alone in a fresh interpreter."""
+    ts = _write(tmp_path / "ts.json", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0]})
+    bad = _write(tmp_path / "bad.json", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0], "idx": "3"})
+    fit = _write(tmp_path / "fit.json", {"h": [0.3, 0.3], "z_grid": [[-0.1, 0.1], [0.0]]})
+    mc_cfg = _write(tmp_path / "mc.json", {"reps": 3, "n": 300, "A": [10.0, 10.0]})
+    data = ["--data1", str(sim_data), "--data2", str(sim_data)]
+    commands = [
+        ["two-sample", "--config", ts, *data],
+        ["fit", "--config", fit, "--data", str(sim_data)],
+        ["two-sample", "--config", bad, *data],
+        ["mc", "--config", mc_cfg, "--seed", "11"],
+        ["two-sample", "--config", ts, *data],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    codes = []
+    for k, argv in enumerate(commands):
+        shared, fresh = tmp_path / f"shared{k}", tmp_path / f"fresh{k}"
+        capsys.readouterr()
+        rc = cli.main([*argv, "--out", str(shared)])
+        got = capsys.readouterr()
+        alone = subprocess.run(
+            [sys.executable, "-m", "spatial_lp.cli", *argv, "--out", str(fresh)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert (rc, got.out, got.err) == (alone.returncode, alone.stdout, alone.stderr)
+        assert _outputs(shared) == _outputs(fresh)
+        codes.append(rc)
+    assert codes == [0, 0, 1, 0, 0]
+
+
+TWO_SAMPLE_FAULT_PROBE = """
+import contextlib, io, resource, sys
+from spatial_lp import cli
+config, out, *pairs = sys.argv[1:]
+def call(k):
+    a, b = pairs[2 * (k % 2)], pairs[2 * (k % 2) + 1]
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["two-sample", "--config", config, "--out", out,
+                       "--data1", a, "--data2", b])
+    assert rc == 0
+for k in range(3):
+    call(k)
+faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for k in range(20):
+    call(k)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0) / 20)
+"""
+
+
+def test_two_sample_call_makes_few_page_faults(tmp_path):
+    """In-process two-sample calls on n = 1000 files reuse heap memory.
+
+    Runs in a fresh interpreter with the allocator's default settings, so
+    a temporary that is mapped and unmapped on every call shows as faults.
+    """
+    rng = np.random.default_rng(17)
+    paths = []
+    for k in range(4):
+        sites = (rng.random((1000, 2)) - 0.5) * 10.0
+        path = tmp_path / f"s{k}.csv"
+        save_csv(
+            SpatialDataset(Region(A=(10.0, 10.0)), sites, rng.standard_normal(1000)), path
+        )
+        paths.append(str(path))
+    cfg = _write(
+        tmp_path / "ts.json",
+        {"p": 1, "h": [0.25, 0.25], "taper_b": [0.5, 0.5], "z": [0.0, 0.0]},
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", TWO_SAMPLE_FAULT_PROBE, cfg, str(tmp_path / "o"), *paths],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    assert float(out.stdout) <= 100.0

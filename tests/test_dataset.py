@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spatial_lp import dataset as ds
@@ -166,6 +171,143 @@ def test_load_csv_header_mismatch(tmp_path):
     path.write_text("# A=2,2\nx1,y\n")
     with pytest.raises(ValueError, match="header"):
         ds.load_csv(path)
+
+
+def _per_line_parse(path, d):
+    """The body of a CSV parsed line by line with float(), blank lines skipped."""
+    sites, ys, groups = [], [], []
+    with open(path) as f:
+        f.readline()
+        has_group = f.readline().strip().endswith(",group")
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            sites.append([float(v) for v in parts[:d]])
+            ys.append(float(parts[d]))
+            if has_group:
+                groups.append(parts[d + 1])
+    return np.array(sites), np.array(ys), np.array(groups) if has_group else None
+
+
+_BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+_PAD = st.sampled_from(["", " ", "  "])
+_EOL = st.sampled_from(["\n", "\r\n"])
+_FORMATS = (repr, "{:.6e}".format, "{:g}".format)
+
+
+@st.composite
+def _csv_files(draw, by_hand=None):
+    """A dataset file: (lines, line endings, line index of each data row, d).
+
+    By hand, each value is written in one of three formats with spaces around
+    it, each line ends in LF or CRLF, and blank or whitespace-only lines sit
+    between the rows. Otherwise save_csv writes the file (LF headers, CRLF
+    rows).
+    """
+    d = draw(st.integers(1, 3))
+    A = draw(st.lists(st.sampled_from([1.0, 2.5, 10.0]), min_size=d, max_size=d))
+    n = draw(st.integers(1, 12))
+    sites = np.array([[draw(st.floats(-a / 2, a / 2)) for a in A] for _ in range(n)])
+    y = np.array(draw(st.lists(
+        st.floats(-1e300, 1e300, allow_nan=False), min_size=n, max_size=n
+    )))
+    group = None
+    if draw(st.booleans()):
+        group = np.array(draw(st.lists(
+            st.text(alphabet="ab_- 0", max_size=4), min_size=n, max_size=n
+        )))
+    if by_hand is None:
+        by_hand = draw(st.booleans())
+    if not by_hand:
+        data = ds.SpatialDataset(ds.Region(tuple(A)), sites, y, group=group)
+        with tempfile.TemporaryDirectory() as tmp:
+            ds.save_csv(data, Path(tmp) / "data.csv")
+            text = (Path(tmp) / "data.csv").read_text()
+        lines = text.split("\n")[:-1]
+        return lines, ["\n", "\n"] + ["\r\n"] * n, list(range(2, n + 2)), d
+    cols = [f"x{j + 1}" for j in range(d)] + ["y"] + ([] if group is None else ["group"])
+    lines = ["# A=" + ",".join(map(repr, A)), ",".join(cols)]
+    rows = []
+    for i in range(n):
+        lines += draw(st.lists(_BLANK, max_size=2))
+        fields = [
+            draw(_PAD) + draw(st.sampled_from(_FORMATS))(float(v)) + draw(_PAD)
+            for v in (*sites[i], y[i])
+        ]
+        if group is not None:
+            fields.append(group[i])
+        rows.append(len(lines))
+        lines.append(",".join(fields))
+    lines += draw(st.lists(_BLANK, max_size=2))
+    eols = draw(st.lists(_EOL, min_size=len(lines), max_size=len(lines)))
+    return lines, eols, rows, d
+
+
+def _written(tmp, lines, eols):
+    path = Path(tmp) / "data.csv"
+    with open(path, "w", newline="") as f:
+        f.write("".join(line + eol for line, eol in zip(lines, eols)))
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_files())
+def test_load_csv_equals_a_per_line_float_parse(csv_file):
+    """The C reader gives the arrays a per-line float() parse gives, bit for bit.
+
+    Files come from save_csv and by hand: d = 1-3, with and without group,
+    blank and whitespace-only lines, CRLF endings, spaces around fields. No
+    warning is emitted.
+    """
+    lines, eols, _, d = csv_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _written(tmp, lines, eols)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ds.load_csv(path)
+        sites, ys, groups = _per_line_parse(path, d)
+    assert got.sites.dtype == sites.dtype and got.sites.tobytes() == sites.tobytes()
+    assert got.responses.tobytes() == ys.tobytes()
+    if groups is None:
+        assert got.group is None
+    else:
+        assert got.group.dtype == groups.dtype
+        assert got.group.tolist() == groups.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _csv_files(by_hand=True),
+    st.sampled_from(["extra", "short", "value"]),
+    st.data(),
+)
+def test_load_csv_names_the_file_line_of_a_bad_row(csv_file, fault, data):
+    """A wrong field count or an unparsable value names its line in the file.
+
+    Line numbers count every line, blank ones included. Extra fields are an
+    error, and so is 1_000, which float() would read.
+    """
+    lines, eols, rows, d = csv_file
+    k = data.draw(st.sampled_from(rows))
+    fields = lines[k].split(",")
+    if fault == "extra":
+        fields += data.draw(st.sampled_from([["1"], ["1", "2"]]))
+    if fault == "short":
+        fields = fields[:-1]
+    if fault == "value":
+        j = data.draw(st.integers(0, d))
+        fields[j] = data.draw(st.sampled_from(["x", "1_000", "", " ", "0x10", "1.0.0"]))
+    lines = [*lines[:k], ",".join(fields), *lines[k + 1:]]
+    named = "could not convert" if fault == "value" else "expected"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _written(tmp, lines, eols)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                ds.load_csv(path)
+    assert f": line {k + 1}: {named}" in str(exc.value)
 
 
 def test_save_metadata(tmp_path):

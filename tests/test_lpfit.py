@@ -462,3 +462,100 @@ def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
         expected = np.linalg.solve(XWX[r] + ridge * np.eye(3), XWY[r])
         assert _rel_err(beta[r], expected) <= 1e-12
     assert _rel_err(beta, single) <= 1e-12
+
+
+def _svd_rule(XWX, XWY):
+    """The solve rule with no certificate: the SVD condition of every row decides."""
+    cond = np.linalg.cond(XWX)
+    singular = ~(cond <= 1.0 / np.finfo(float).eps)
+    if singular.any():
+        c = cond[singular.argmax()]
+        raise lpfit.RankDeficient(f"normal equations numerically singular (cond {c:.3g})")
+    ill = cond > lpfit.COND_LIMIT
+    if ill.any():
+        tr = np.trace(XWX[ill], axis1=1, axis2=2)
+        XWX[ill] += lpfit.RIDGE_SCALE * tr[:, None, None] * np.eye(XWX.shape[1])
+    return np.linalg.solve(XWX, XWY[..., None])[..., 0]
+
+
+# condition numbers placed just either side of the two decision limits
+_EDGES = {
+    "limit-": lpfit.COND_LIMIT * (1 - 1e-3),
+    "limit+": lpfit.COND_LIMIT * (1 + 1e-3),
+    "eps-": (1 - 1e-3) / np.finfo(float).eps,
+    "eps+": (1 + 1e-3) / np.finfo(float).eps,
+}
+
+
+@st.composite
+def _normal_stacks(draw):
+    """A block of D x D systems Q diag(s) Q' with their right-hand sides.
+
+    Each row is one of: singular values spread over 1e0-1e17, a condition
+    just under or over COND_LIMIT or 1/eps, a NaN entry, or an exactly
+    singular matrix (a zero row and column).
+    """
+    D = draw(st.sampled_from([3, 6, 10]))
+    kinds = draw(st.lists(
+        st.sampled_from(["spread", "spread", *_EDGES, "nan", "singular"]),
+        min_size=1, max_size=8,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        Q = np.linalg.qr(rng.standard_normal((D, D)))[0]
+        if kind in _EDGES:
+            s = 10.0 ** rng.uniform(0.0, 5.0) * np.geomspace(1.0, _EDGES[kind], D)
+        else:
+            s = 10.0 ** rng.uniform(0.0, 17.0, D)
+        A = (Q * rng.permutation(s)) @ Q.T
+        if kind == "nan":
+            A[rng.integers(D), rng.integers(D)] = np.nan
+        if kind == "singular":
+            k = rng.integers(D)
+            A[k, :] = A[:, k] = 0.0
+        rows.append(A)
+    return np.array(rows), rng.standard_normal((len(rows), D))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_normal_stacks())
+def test_condition_certificate_never_changes_a_decision(stack):
+    """_solve_stack ridges, raises and solves exactly as the SVD rule does.
+
+    Rows that the Frobenius certificate clears skip the SVD; any other row
+    sends its block through it. The ridge goes into X'WX in place, so equal
+    matrices afterwards mean equal ridge decisions.
+    """
+    XWX, XWY = stack
+    ref_A, got_A = XWX.copy(), XWX.copy()
+    # a NaN row makes the SVD itself fail with LinAlgError
+    failures = (lpfit.RankDeficient, np.linalg.LinAlgError)
+    try:
+        ref = _svd_rule(ref_A, XWY.copy())
+    except failures as exc:
+        ref = repr(exc)
+    try:
+        got = lpfit._solve_stack(got_A, XWY.copy())
+    except failures as exc:
+        got = repr(exc)
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert not isinstance(got, str)
+    assert got_A.tobytes() == ref_A.tobytes()
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_well_conditioned_block_skips_the_svd(monkeypatch):
+    """A block of ordinary windows is solved without np.linalg.cond."""
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or cond(a))
+    data = _uniform_dataset(2, 800, 3, responses=lambda z: z[:, 0])
+    Z = np.array([[-0.2, 0.1], [0.0, 0.0], [0.25, -0.3]])
+    lpfit.fit_many(data, _config(2, 2, 0.25), Z)
+    assert conds == []
+    XWX = np.array([np.eye(3), np.diag([1.0, 1.0, 1e-13])])
+    lpfit._solve_stack(XWX, np.ones((2, 3)))
+    assert conds == [1]
