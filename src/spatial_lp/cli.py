@@ -94,9 +94,9 @@ def _load_config(path, allowed: set) -> dict:
     return _Config(cfg)
 
 
-def _check_point_axes(cfg, d: int, per: str) -> None:
-    """z holds one coordinate, and z_grid one array, for each of d axes."""
-    for key in ("z", "z_grid"):
+def _check_axes(cfg, d: int, per: str) -> None:
+    """z and taper_b hold one number, and z_grid one array, for each of d axes."""
+    for key in ("z", "z_grid", "taper_b"):
         if key in cfg and len(cfg[key]) != d:
             raise ConfigError(f"{key} has {len(cfg[key])} axes, expected {d} ({per})")
 
@@ -168,7 +168,7 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config, FIT_KEYS)
     dataset = load_csv(args.data)
     d = dataset.d
-    _check_point_axes(cfg, d, "one per axis of the data")
+    _check_axes(cfg, d, "one per axis of the data")
     tau = _level(cfg, 1.0)
     kern = _kernel(cfg.get("kernel"), d)
     config = FitConfig(
@@ -293,7 +293,7 @@ TWO_SAMPLE_KEYS = {"p", "kernel", "h", "variance_h", "taper_b", "z", "idx", "tau
 def cmd_two_sample(args) -> int:
     cfg = _load_config(args.config, TWO_SAMPLE_KEYS)
     h = tuple(cfg["h"])
-    _check_point_axes(cfg, len(h), "one per entry of h")
+    _check_axes(cfg, len(h), "one per entry of h")
     tau = _level(cfg, 0.5)
     ds1 = load_csv(args.data1)
     ds2 = load_csv(args.data2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +26,9 @@ RIDGE_SCALE = 1e-10
 # times that. A case-(ii) variance window takes four or five blocks;
 # smaller blocks spend more of each fit on per-call overhead
 BLOCK_PAIRS = 1 << 15
-# how far a strip reaches past the kernel window on the first axis, in units
-# of A_1: far more than the rounding in a kernel argument, so every site of
-# positive weight lies in its row's strip
+# how far a strip or box reaches past the kernel window on each axis it
+# bounds, in units of A_j: far more than the rounding in a kernel argument,
+# so every site of positive weight lies among its row's candidates
 STRIP_PAD = 1e-9
 
 
@@ -102,44 +103,95 @@ class FitResult:
         return float(basis.s_factorial(idx) * self.beta_hat[k])
 
 
-def _strips(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z: np.ndarray):
-    """Candidate sites of each row of Z as a padded block: (start, L).
+class _Strips(NamedTuple):
+    """Candidates of a block of rows: row r's are the L sites from start[r] on."""
 
-    Row r's candidates are the L sites from sorted position start[r]. They
-    hold its first-axis strip |X_i1 - A_1 z_r1| <= A_1 (h_1 C + STRIP_PAD), a
-    superset of its kernel window. L is the longest strip; a shorter strip
-    is padded with its neighbouring sites, which the kernel weighs zero.
+    start: np.ndarray
+    L: int
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """Rows x[s:s + L] for each s in start, copied into one (rows, L) array.
+
+        x is contiguous and 1-D; the copy comes from a window view of it.
+        """
+        L = self.L
+        windows = np.ndarray(
+            (x.size - L + 1, L), x.dtype, buffer=x, strides=2 * x.strides
+        )
+        return windows[self.start]
+
+
+class _Box(NamedTuple):
+    """Candidates of one row: the sites at sorted positions pos, ascending."""
+
+    pos: np.ndarray
+
+    @property
+    def L(self) -> int:
+        return self.pos.size
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """x at the box's positions as one (1, L) row."""
+        return x[self.pos][None]
+
+
+def _reach(dataset: SpatialDataset, kernel: kernels.KernelSpec, h) -> np.ndarray:
+    """A_j (h_j C + STRIP_PAD): how far a candidate may lie from A_j z_j on axis j."""
+    C = kernel.support_halfwidth
+    return dataset.region.sides() * (np.asarray(h) * C + STRIP_PAD)
+
+
+def _strips(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z) -> _Strips:
+    """Candidate sites of each row of Z as one padded block.
+
+    Row r's strip holds the sites with |X_i1 - A_1 z_r1| <= A_1 (h_1 C +
+    STRIP_PAD), a superset of its kernel window. L is the longest strip; a
+    shorter strip is padded with its neighbouring sites, which the kernel
+    weighs zero.
     """
     x = dataset.by_first_axis.columns[0]
-    A = dataset.region.sides()[0]
-    c = A * Z[:, 0]
-    r = A * (h[0] * kernel.support_halfwidth + STRIP_PAD)
+    c = dataset.region.sides()[0] * Z[:, 0]
+    r = _reach(dataset, kernel, h)[0]
     lo = np.searchsorted(x, c - r, side="left")
     L = int(np.max(np.searchsorted(x, c + r, side="right") - lo, initial=0))
-    return np.minimum(lo, dataset.n - L), L
+    return _Strips(np.minimum(lo, dataset.n - L), L)
 
 
-def _gather(x: np.ndarray, start: np.ndarray, L: int) -> np.ndarray:
-    """Rows x[s:s + L] for each s in start, copied into one (len(start), L) array.
+def _box(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z: np.ndarray) -> _Box:
+    """Candidate sites of the one point z: its padded box.
 
-    x is contiguous and 1-D; the copy comes from a window view of it.
+    The box holds the sites with |X_ij - A_j z_j| <= A_j (h_j C + STRIP_PAD)
+    on every axis, a superset of the kernel window: the first-axis strip,
+    masked on each further axis. Its positions ascend, so the sites come in
+    ascending order of first coordinate.
     """
-    windows = np.ndarray((x.size - L + 1, L), x.dtype, buffer=x, strides=2 * x.strides)
-    return windows[start]
+    srt = dataset.by_first_axis
+    c = dataset.region.sides() * z
+    r = _reach(dataset, kernel, h)
+    lo, hi = c - r, c + r
+    a = int(np.searchsorted(srt.columns[0], lo[0], side="left"))
+    b = int(np.searchsorted(srt.columns[0], hi[0], side="right"))
+    inside = np.ones(b - a, dtype=bool)
+    for j in range(1, len(c)):
+        x = srt.columns[j][a:b]
+        inside &= x >= lo[j]
+        inside &= x <= hi[j]
+    return _Box(a + np.flatnonzero(inside))
 
 
-def _weigh(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z, start, L, t=None):
-    """K((X_i - A z) / (A h)) for each row of Z on the L sites from its start.
+def _weigh(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z, cand, t=None):
+    """K((X_i - A z) / (A h)) for each row of Z on its candidate sites.
 
-    W[r, k] weighs the site at sorted position start[r] + k. The kernel is
-    evaluated axis by axis in place. With t, t[j] receives the monomial
-    argument (X_ij - A_j z_j) / A_j on the same (rows, L) layout.
+    cand is the block's candidate layout (_Strips or _Box): W[r, k] weighs
+    row r's k-th candidate. The kernel is evaluated axis by axis in place.
+    With t, t[j] receives the monomial argument (X_ij - A_j z_j) / A_j on
+    the same (rows, L) layout.
     """
     srt = dataset.by_first_axis
     A = dataset.region.sides()
     W = None
     for j, hj in enumerate(h):
-        u = _gather(srt.columns[j], start, L)
+        u = cand.gather(srt.columns[j])
         np.subtract(u, (A[j] * Z[:, j])[:, None], out=u)
         if t is not None:
             np.divide(u, A[j], out=t[j])
@@ -155,10 +207,10 @@ def window(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z):
     The rows come in ascending order of first coordinate.
     """
     Z = np.asarray(z, dtype=float)[None]
-    start, L = _strips(dataset, kernel, h, Z)
-    w = _weigh(dataset, kernel, h, Z, start, L)[0]
+    cand = _box(dataset, kernel, h, Z[0])
+    w = _weigh(dataset, kernel, h, Z, cand)[0]
     k = np.flatnonzero(w)
-    return dataset.by_first_axis.order[start[0] + k], w[k]
+    return dataset.by_first_axis.order[cand.pos[k]], w[k]
 
 
 def _check_interior(Z: np.ndarray, d: int) -> None:
@@ -178,7 +230,7 @@ def fit_at(dataset: SpatialDataset, config: FitConfig, z) -> FitResult:
     """
     z = np.asarray(z, dtype=float)
     _check_interior(z[None], config.d)
-    beta, n_eff = _fit_block(dataset, config, z[None])
+    beta, n_eff = _fit_rows(dataset, config, z[None])
     ck = config.kernel.support_halfwidth
     boundary = bool(
         (np.abs(z) + ck * np.asarray(config.h) > 0.5).any()
@@ -197,44 +249,68 @@ def fit_at(dataset: SpatialDataset, config: FitConfig, z) -> FitResult:
 def fit_many(dataset: SpatialDataset, config: FitConfig, Z):
     """Local fits at every row of Z (m, d): coefficients (m, D) and n_eff (m,).
 
-    Row r equals the fit_at coefficients at Z[r]. The rows go through in
-    blocks of at most BLOCK_PAIRS candidate (row, site) pairs, so memory
-    stays bounded whatever m is.
+    Row r equals the fit_at coefficients at Z[r], up to rounding. The rows
+    go through in blocks of at most BLOCK_PAIRS candidate (row, site)
+    pairs, so memory stays bounded whatever m is; one batched solve then
+    takes every row's normal equations.
     """
     Z = np.asarray(Z, dtype=float)
     _check_interior(Z, config.d)
-    _, L = _strips(dataset, config.kernel, config.h, Z)
-    beta = np.empty((len(Z), config.layout().D))
+    return _fit_rows(dataset, config, Z)
+
+
+def _fit_rows(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
+    """fit_many's coefficients and n_eff, for rows already checked."""
+    D = config.layout().D
+    XWX = np.empty((len(Z), D, D))
+    XWY = np.empty((len(Z), D))
     n_eff = np.empty(len(Z), dtype=np.int64)
-    step = max(1, BLOCK_PAIRS // max(1, L))
+    for rows, cand in _blocks(dataset, config, Z):
+        n_eff[rows] = _fit_block(dataset, config, Z[rows], cand, XWX[rows], XWY[rows])
+    return _solve_stack(XWX, XWY), n_eff
+
+
+def _blocks(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
+    """(rows, candidates) of each block of fit_many: a slice of Z and its layout.
+
+    One row scans its box, a share prod_j 2 h_j C of the region. Several
+    rows scan padded first-axis strips, a share 2 h_1 C each: one window
+    view gathers a whole block of strips, where boxes would need a gather
+    per row or padding to the longest box, and boxes shared by a tile of
+    rows took more CPU than strips on residual fits.
+    """
+    kernel, h = config.kernel, config.h
+    if len(Z) == 1:
+        yield slice(0, 1), _box(dataset, kernel, h, Z[0])
+        return
+    step = max(1, BLOCK_PAIRS // max(1, _strips(dataset, kernel, h, Z).L))
     for s in range(0, len(Z), step):
-        beta[s:s + step], n_eff[s:s + step] = _fit_block(
-            dataset, config, Z[s:s + step]
-        )
-    return beta, n_eff
+        rows = slice(s, s + step)
+        yield rows, _strips(dataset, kernel, h, Z[rows])
 
 
-def _fit_block(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
-    """Normal equations of each row of Z on its candidate sites, solved.
+def _fit_block(dataset: SpatialDataset, config: FitConfig, Z, cand, XWX, XWY):
+    """Normal equations of each row of Z on its candidate sites, into XWX and XWY.
 
-    The rows share one padded (rows x L) block of candidates. X'WX and X'WY
-    of every row are one batched matmul each.
+    cand is the block's candidate layout (_Strips or _Box), one (rows x L)
+    block. X'WX and X'WY of every row are one batched matmul each. Returns
+    each row's count of positive weights; a row with fewer than D raises
+    NoLocalData.
     """
     layout = config.layout()
     D = layout.D
-    start, L = _strips(dataset, config.kernel, config.h, Z)
     # X and X * W share one allocation, the block's largest: glibc raises its
     # mmap threshold to the largest block freed and trims the heap only above
     # twice that, so the next block reuses these pages instead of faulting
     # them in again
-    XXw = np.empty((len(Z), 2, D, L))
+    XXw = np.empty((len(Z), 2, D, cand.L))
     X, Xw = XXw[:, 0], XXw[:, 1]
     # monomials of t = (X_i - A z) / A, one row per basis index: the first
     # order rows come from the weight pass, every other index is its prefix
     # times one more axis
     X[:, 0] = 1.0
     t = [X[:, layout.position((j + 1,))] for j in range(config.d)] if layout.p else None
-    W = _weigh(dataset, config.kernel, config.h, Z, start, L, t)
+    W = _weigh(dataset, config.kernel, config.h, Z, cand, t)
     counts = np.count_nonzero(W, axis=1)
     short = counts < D
     if short.any():
@@ -246,10 +322,10 @@ def _fit_block(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
         if len(idx) > 1:
             np.multiply(X[:, layout.position(idx[:-1])], t[idx[-1] - 1], out=X[:, k])
     np.multiply(X, W[:, None, :], out=Xw)
-    y = _gather(dataset.by_first_axis.responses, start, L)
-    XWX = np.matmul(X, Xw.transpose(0, 2, 1))
-    XWY = np.matmul(Xw, y[..., None])[..., 0]
-    return _solve_stack(XWX, XWY), counts
+    y = cand.gather(dataset.by_first_axis.responses)
+    XWX[...] = np.matmul(X, Xw.transpose(0, 2, 1))
+    XWY[...] = np.matmul(Xw, y[..., None])[..., 0]
+    return counts
 
 
 def _solve_stack(XWX: np.ndarray, XWY: np.ndarray) -> np.ndarray:

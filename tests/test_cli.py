@@ -542,13 +542,23 @@ def test_two_sample_index_is_checked_before_any_fit(
      ("two-sample", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0], "z": [0.0]},
       "z has 1 axes, expected 2"),
      ("two-sample", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0], "tau": 0.5},
-      "tau must be a number in (0, 0.5)")],
-    ids=["fit-z", "fit-z_grid", "fit-tau", "two-sample-z", "two-sample-tau"],
+      "tau must be a number in (0, 0.5)"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "taper_b": [0.5]},
+      "taper_b has 1 axes, expected 2"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "taper_b": [0.5, 0.5, 0.5]},
+      "taper_b has 3 axes, expected 2"),
+     ("two-sample", {"h": [0.3, 0.3], "taper_b": [0.5]},
+      "taper_b has 1 axes, expected 2"),
+     ("two-sample", {"h": [0.3, 0.3], "taper_b": [0.5, 0.5, 0.5]},
+      "taper_b has 3 axes, expected 2")],
+    ids=["fit-z", "fit-z_grid", "fit-tau", "two-sample-z", "two-sample-tau",
+         "fit-taper_b-short", "fit-taper_b-long", "two-sample-taper_b-short",
+         "two-sample-taper_b-long"],
 )
 def test_point_and_level_are_config_errors(
     tmp_path, capsys, monkeypatch, sim_data, command, payload, named
 ):
-    """A z of the wrong length or a tau out of range fails before any fit.
+    """A z or taper_b of the wrong length, or a tau out of range, fails before any fit.
 
     two-sample checks both before it reads either data file.
     """

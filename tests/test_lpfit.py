@@ -1,5 +1,10 @@
 """Local polynomial fitting: exactness, bias plug-in, bandwidth selection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +234,48 @@ def test_select_bandwidth_failure_paths():
             )
 
 
+GRID_FAULT_PROBE = """
+import resource
+import numpy as np
+from spatial_lp import kernels, lpfit
+from spatial_lp.dataset import Region, SpatialDataset
+rng = np.random.default_rng(5)
+sites = (rng.random((16000, 2)) - 0.5) * 40.0
+data = SpatialDataset(Region(A=(40.0, 40.0)), sites, rng.standard_normal(16000))
+config = lpfit.FitConfig(
+    p=2, kernel=kernels.KernelSpec("product-triangular", 1.0, 2),
+    h=(0.2, 0.2), pilot_h=(0.25, 0.25),
+)
+axis = np.linspace(-0.3, 0.3, 21)
+grid = [np.array([a, b]) for a in axis for b in axis]
+def fit(points):
+    for z in points:
+        lpfit.fit_at(data, config, z)
+        lpfit.estimate_bias(data, config, z)
+fit(grid[:21])
+faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fit(grid)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0) / len(grid))
+"""
+
+
+def test_one_row_fits_make_few_page_faults():
+    """One-row fits and pilots over a 21 x 21 grid at n = 16 000 reuse heap memory.
+
+    Runs in a fresh interpreter with the allocator's default settings. Each
+    box holds a different number of sites, so each fit allocates a different
+    size; with every such temporary mapped and unmapped (a fixed mmap
+    threshold of 128 KiB) a grid point makes about 210 minor faults.
+    """
+    src = str(Path(lpfit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", GRID_FAULT_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    assert float(out.stdout) <= 20.0
+
+
 # --- batched fits: properties at random (d, p, Z) ---------------------------
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -260,9 +307,9 @@ def test_fit_many_equals_stacked_single_fits(batch, block_rows):
     blocks = []
     fit_block = lpfit._fit_block
 
-    def counting_fit_block(dataset, config, Zb):
+    def counting_fit_block(dataset, config, Zb, *layout_and_out):
         blocks.append(len(Zb))
-        return fit_block(dataset, config, Zb)
+        return fit_block(dataset, config, Zb, *layout_and_out)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpfit, "BLOCK_PAIRS", block_rows * L)
@@ -343,9 +390,10 @@ def test_window_weights_equal_the_dense_kernel(case):
     )
     data = SpatialDataset(region=region, sites=sites, responses=np.zeros(len(sites)))
 
-    start, L = lpfit._strips(data, kern, h, Z)
-    W = lpfit._weigh(data, kern, h, Z, start, L)
     order = data.by_first_axis.order
+    # several rows: one padded block of first-axis strips
+    strips = lpfit._strips(data, kern, h, Z)
+    W = lpfit._weigh(data, kern, h, Z, strips)
     for r, z in enumerate(Z):
         dense = 1.0
         for j in range(d):
@@ -353,11 +401,66 @@ def test_window_weights_equal_the_dense_kernel(case):
             dense = dense * kernels.eval_kernel_axis(kern, u)
         expected = np.flatnonzero(dense > 0.0)
         k = np.flatnonzero(W[r] > 0.0)
+        # one row: its box, as fit_at, the pilot and window take it
+        box = lpfit._box(data, kern, h, z)
+        assert (np.diff(box.pos) > 0).all()
+        w_box = lpfit._weigh(data, kern, h, z[None], box)[0]
+        kb = np.flatnonzero(w_box > 0.0)
         rows, w = lpfit.window(data, kern, h, z)
-        for got_rows, got_w in ((order[start[r] + k], W[r, k]), (rows, w)):
+        assert (np.diff(data.sites[rows, 0]) >= 0.0).all()
+        for got_rows, got_w in (
+            (order[strips.start[r] + k], W[r, k]),
+            (order[box.pos[kb]], w_box[kb]),
+            (rows, w),
+        ):
             by_row = np.argsort(got_rows)
             assert got_rows[by_row].tolist() == expected.tolist()
             assert got_w[by_row].tobytes() == dense[expected].tobytes()
+
+
+def test_one_row_fit_scans_exactly_its_padded_box(monkeypatch):
+    """fit_at weighs the sites with |X_ij - A_j z_j| <= A_j (h_j C + STRIP_PAD)
+    on every axis, and no other site.
+
+    Besides uniform sites, sites sit exactly on each face of the padded box
+    and one double outside it. The kernel pass is recorded: per axis, the
+    arguments (X_ij - A_j z_j) / (A_j h_j) of the sites it scans.
+    """
+    d, A = 3, 10.0
+    config = _config(d, 1, 0.15)
+    z = np.array([0.1, -0.2, 0.05])
+    Av = np.full(d, A)
+    c = Av * z
+    reach = Av * (np.asarray(config.h) * config.kernel.support_halfwidth + lpfit.STRIP_PAD)
+    rng = np.random.default_rng(12)
+    faces = []
+    for j in range(d):
+        for sign in (-1.0, 1.0):
+            on = c + rng.uniform(-0.5, 0.5, d) * reach
+            on[j] = (c + sign * reach)[j]
+            off = on.copy()
+            off[j] = np.nextafter(on[j], sign * np.inf)
+            faces += [on, off]
+    sites = np.vstack([rng.uniform(-A / 2, A / 2, (4000, d)), faces])
+    data = SpatialDataset(
+        region=Region(A=(A,) * d), sites=sites, responses=rng.standard_normal(len(sites))
+    )
+    scanned = []
+    eval_axis = kernels.eval_kernel_axis
+
+    def recording_eval_axis(kernel, u, out=None):
+        scanned.append(u.copy())
+        return eval_axis(kernel, u, out=out)
+
+    monkeypatch.setattr(kernels, "eval_kernel_axis", recording_eval_axis)
+    lpfit.fit_at(data, config, z)
+    inside = ((sites >= c - reach) & (sites <= c + reach)).all(axis=1)
+    n_box = int(inside.sum())
+    assert 0 < n_box < len(sites)
+    expected = (sites[inside] - c) / (Av * np.asarray(config.h))
+    assert [u.shape for u in scanned] == [(1, n_box)] * d
+    got = np.column_stack([u[0] for u in scanned])
+    assert sorted(map(tuple, got)) == sorted(map(tuple, expected))
 
 
 @PROPERTY
@@ -418,6 +521,34 @@ def test_degenerate_row_raises_as_its_single_fit(batch, coincident, where):
     Z = np.insert(Z, min(where, len(Z)), bad, axis=0)
     with pytest.raises(expected):
         lpfit.fit_many(data, config, Z)
+
+
+def test_short_row_raises_before_any_solve(monkeypatch):
+    """NoLocalData for a short row in a later block wins over a singular row in
+    an earlier one: every block is built before the one solve."""
+    rng = np.random.default_rng(4)
+    A = 10.0
+    left = rng.uniform(-A / 2, A / 2, (2000, 2))
+    left[:, 0] = -np.abs(left[:, 0])
+    cluster = np.full((3, 2), 0.4 * A)
+    sites = np.vstack([left, cluster])
+    data = SpatialDataset(
+        region=Region(A=(A, A)), sites=sites, responses=rng.standard_normal(len(sites))
+    )
+    config = _config(2, 1, 0.15)
+    solves = []
+    solve_stack = lpfit._solve_stack
+
+    def recording_solve_stack(XWX, XWY):
+        solves.append(len(XWX))
+        return solve_stack(XWX, XWY)
+
+    monkeypatch.setattr(lpfit, "_solve_stack", recording_solve_stack)
+    monkeypatch.setattr(lpfit, "BLOCK_PAIRS", 1)
+    Z = np.array([[-0.3, 0.0], [0.4, 0.4], [-0.2, 0.1], [0.2, 0.2]])
+    with pytest.raises(lpfit.NoLocalData, match=r"at z=\[0.2 0.2\], need >= 3"):
+        lpfit.fit_many(data, config, Z)
+    assert solves == []
 
 
 def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
