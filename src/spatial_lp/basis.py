@@ -90,17 +90,10 @@ class BasisLayout:
         except KeyError:
             raise KeyError(f"multi-index {idx} not in layout (d={self.d}, p={self.p})")
 
-    def s_factorials(self) -> np.ndarray:
-        return np.array([s_factorial(idx) for idx in self.indices], dtype=float)
-
     def counts_matrix(self, top: bool = False) -> np.ndarray:
         """(D, d) or (D_bar, d) matrix of per-axis occurrence counts."""
         src = self.top_indices if top else self.indices
         return np.array([index_counts(idx, self.d) for idx in src], dtype=np.int64)
-
-    def design_row(self, v) -> np.ndarray:
-        """Monomial values (1, v_1, ..., products up to degree p) in layout order."""
-        return np.array([monomial(idx, v) for idx in self.indices])
 
 
 def build_layout(d: int, p: int) -> BasisLayout:

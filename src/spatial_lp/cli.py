@@ -55,6 +55,10 @@ SECTION_KEYS = {
 }
 # Keys holding one number per axis; z_grid holds one array of them per axis.
 AXIS_KEYS = {"A", "h", "fit_h", "pilot_h", "variance_h", "taper_b", "z"}
+# Keys holding one integer, a section key written "section.key". The
+# NULLABLE ones may also be null: the default seed, a Poisson knot count.
+INTEGER_KEYS = {"n", "reps", "p", "d", "seed", "master_seed", "error.n_knots"}
+NULLABLE = {"seed", "error.n_knots"}
 
 
 def _is_numbers(value) -> bool:
@@ -62,6 +66,10 @@ def _is_numbers(value) -> bool:
         isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
         for v in value
     )
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_config(path, allowed: set) -> dict:
@@ -88,6 +96,14 @@ def _load_config(path, allowed: set) -> dict:
     for key in sorted(AXIS_KEYS & cfg.keys()):
         if not _is_numbers(cfg[key]):
             raise ConfigError(f"{path}: {key} must be a JSON array of numbers")
+    for key in sorted(INTEGER_KEYS):
+        section, _, name = key.rpartition(".")
+        holder = (cfg.get(section) or {}) if section else cfg
+        if name not in holder:
+            continue
+        value = holder[name]
+        if not (value is None and key in NULLABLE or _is_integer(value)):
+            raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
     grid = cfg.get("z_grid", [])
     if not (isinstance(grid, list) and all(map(_is_numbers, grid))):
         raise ConfigError(f"{path}: z_grid must be a JSON array of arrays of numbers")

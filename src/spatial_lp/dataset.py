@@ -91,24 +91,6 @@ class SamplingDensity:
         frac = (u - cdf[cells]) / np.maximum(w[cells] / k, 1e-300)
         return (cells + np.clip(frac, 0.0, 1.0)) / k - 0.5
 
-    def pdf(self, z: np.ndarray) -> np.ndarray:
-        """Density on R_0 for an (n, d) array."""
-        z = np.atleast_2d(z)
-        out = np.ones(z.shape[0])
-        for j in range(z.shape[1]):
-            if self.kind == "uniform":
-                continue
-            elif self.kind == "product-beta":
-                a = self.params["alpha"][j]
-                b = self.params["beta"][j]
-                out *= stats.beta.pdf(z[:, j] + 0.5, a, b)
-            else:
-                w = np.asarray(self.params["weights"][j], dtype=float)
-                k = len(w)
-                cells = np.clip(((z[:, j] + 0.5) * k).astype(int), 0, k - 1)
-                out *= w[cells]
-        return out
-
 
 def rep_rng(master_seed: int, rep: int) -> np.random.Generator:
     """Per-replication stream: derived, reproducible, safe to run in parallel."""
@@ -195,17 +177,6 @@ class SpatialDataset:
     @property
     def d(self) -> int:
         return self.region.d
-
-    def rescaled_sites(self) -> np.ndarray:
-        return self.sites / self.region.sides()
-
-
-def rescale(dataset: SpatialDataset, x) -> np.ndarray:
-    """Map a site of R_n to R_0 = [-1/2, 1/2]^d."""
-    x = np.asarray(x, dtype=float)
-    if not dataset.region.contains(x[None, :])[0]:
-        raise ValueError(f"point {x} is outside the sampling region")
-    return x / dataset.region.sides()
 
 
 def save_csv(dataset: SpatialDataset, path) -> None:

@@ -72,11 +72,6 @@ def _base_1d(family: str, u: np.ndarray, out: np.ndarray | None = None) -> np.nd
     raise ValueError(family)
 
 
-def eval_kernel(spec: KernelSpec, v) -> float:
-    """Kernel value at a point of R^d."""
-    return float(eval_kernel_many(spec, np.asarray(v, dtype=float)[None, :])[0])
-
-
 def eval_kernel_axis(
     spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -98,12 +93,6 @@ def eval_kernel_many(spec: KernelSpec, V: np.ndarray) -> np.ndarray:
     for j in range(1, V.shape[1]):
         out = out * eval_kernel_axis(spec, V[:, j])
     return out
-
-
-def eval_taper(spec: TaperSpec, w) -> float:
-    """Bartlett taper at displacement w: max(0, 1 - ||w / b||)."""
-    w = np.asarray(w, dtype=float)[None, :]
-    return float(eval_taper_pairs(spec, w, np.zeros_like(w))[0, 0])
 
 
 def eval_taper_pairs(spec: TaperSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -138,19 +127,6 @@ def moment_1d(spec: KernelSpec, a: int, r: int) -> float:
 def kappa0_r2(spec: KernelSpec) -> float:
     """kappa_0^(2) = int K^2(z) dz, the K^2 mass in every variance factor."""
     return float(moment_1d(spec, 0, 2) ** spec.d)
-
-
-def kappa_moment(spec: KernelSpec, powers, r: int) -> float:
-    """int prod_j z_j^{a_j} K^r(z) dz via per-axis closed forms."""
-    powers = np.asarray(powers, dtype=int)
-    if powers.shape != (spec.d,):
-        raise ValueError(f"expected {spec.d} per-axis powers, got {powers.shape}")
-    if r not in (1, 2):
-        raise ValueError("kernel power r must be 1 or 2")
-    out = 1.0
-    for a in powers:
-        out *= moment_1d(spec, int(a), r)
-    return out
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ the mean surface at z.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -403,58 +402,3 @@ def derivative_variance(
     k = layout.position(idx)
     scale = basis.derivative_scale(idx, h)
     return float(W * scale**2 * moments.sks()[k, k] / (An * float(np.prod(h))))
-
-
-def mse_estimate(
-    dataset: SpatialDataset,
-    config: FitConfig,
-    z,
-    idx,
-    variance_factor: float,
-) -> float:
-    """Plug-in MSE of the derivative estimator: squared bias plus variance."""
-    if variance_factor < 0:
-        raise ValueError("variance factor must be nonnegative")
-    b = derivative_bias(
-        config.layout(), idx, estimate_bias(dataset, config, z), config.h
-    )
-    var = derivative_variance(
-        config.moments(), config.layout(), idx, variance_factor,
-        dataset.region.volume, config.h,
-    )
-    return b * b + var
-
-
-def select_bandwidth(
-    dataset: SpatialDataset,
-    config: FitConfig,
-    z,
-    idx,
-    candidates,
-    variance_factor: float,
-):
-    """Grid-search minimizer of the plug-in MSE; ties go to the largest h."""
-    if not len(candidates):
-        raise ValueError("candidate bandwidth grid is empty")
-    scored = []
-    failures = []
-    for h in candidates:
-        h = tuple(float(v) for v in np.atleast_1d(h)) if np.ndim(h) else (float(h),) * config.d
-        if len(h) == 1 and config.d > 1:
-            h = h * config.d
-        cand = replace(config, h=h, pilot_h=config.pilot_h)
-        try:
-            mse = mse_estimate(dataset, cand, z, idx, variance_factor)
-        except FitError as exc:
-            failures.append((h, str(exc)))
-            warnings.warn(f"bandwidth candidate {h} skipped: {exc}")
-            continue
-        scored.append((mse, float(np.prod(h)), h))
-    if not scored:
-        raise FitError(
-            "no feasible bandwidth candidate: "
-            + "; ".join(f"{h}: {msg}" for h, msg in failures)
-        )
-    # sort by MSE ascending, then by window volume descending
-    scored.sort(key=lambda s: (s[0], -s[1]))
-    return scored[0][2]

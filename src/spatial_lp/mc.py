@@ -91,8 +91,6 @@ def make_mean_function(spec):
     Expressions are parsed, never executed; see _compile_mean for what they
     may contain.
     """
-    if callable(spec):
-        return spec
     if spec == "paper_mean":
         return paper_mean
     try:
@@ -134,6 +132,9 @@ class ErrorCase:
             raise ValueError(f"unknown error kind {self.kind!r}")
         if self.sigma2 is None:
             object.__setattr__(self, "sigma2", SIGMA2[self.kind])
+        if self.sigma2 < 0:
+            raise ValueError("measurement-noise variance sigma2 must be >= 0")
+        self.field_model()  # a bad lambda, tau2, n_knots or buffer fails here
 
     def field_model(self) -> FieldModel | None:
         if self.kind == "iid":
@@ -168,6 +169,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("replication count must be >= 1")
+        if self.n < 1:
+            raise ValueError("site count n must be >= 1")
+        if not (isinstance(self.tau, (int, float)) and 0.0 < self.tau < 1.0):
+            raise ValueError(f"tau must be a number in (0, 1), got {self.tau!r}")
         d = len(self.A)
         if self.z is None:
             object.__setattr__(self, "z", (0.0,) * d)

@@ -1,10 +1,9 @@
 """Levy-driven moving-average random fields with exponential kernels.
 
 e(x) = sum_j Z_j * phi(x - a_j) with phi(x) = r0 * exp(-r1 ||x||), where
-the knots a_j come from a (compound) Poisson measure on an enlarged copy
-of the sampling region and the jumps Z_j are centered Gaussian.  A
-Gaussian random measure is sampled exactly from its covariance for small
-site counts and by knot superposition otherwise.
+the knots a_j of the compound Poisson random measure are uniform on an
+enlarged copy of the sampling region and the jumps Z_j are centered
+Gaussian with variance tau2.
 """
 
 from __future__ import annotations
@@ -13,12 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 from scipy.spatial.distance import cdist
 
 from .dataset import Region
-
-GAUSSIAN_EXACT_MAX_N = 4000
 
 # site-knot pairs per row block of the superposition (lpfit's budget)
 BLOCK_PAIRS = 1 << 16
@@ -29,26 +26,28 @@ class FieldModel:
     """Moving-average field configuration.
 
     kernels holds one (r0, r1) pair per output component; car1(lam) is
-    (1.0, lam).  measure is "gaussian" or "compound_poisson".  For the
-    compound-Poisson measure either `rho` (knots per unit area) or a fixed
-    `n_knots` drives the knot count.  `buffer` enlarges the knot region:
-    knots are uniform on prod_j [-buffer * A_j / 2, buffer * A_j / 2].
+    (1.0, lam).  The compound Poisson measure has jump variance tau2;
+    either `rho` (knots per unit area) or a fixed `n_knots` drives its knot
+    count.  `buffer` enlarges the knot region: knots are uniform on
+    prod_j [-buffer * A_j / 2, buffer * A_j / 2]; with None the region
+    grows until the kernel tail is negligible at its boundary.
     """
 
     kernels: tuple[tuple[float, float], ...]
-    measure: str = "compound_poisson"
     tau2: float = 0.01
     rho: float = 2.0
     n_knots: int | None = None
     buffer: float | None = 2.0
 
     def __post_init__(self):
-        if self.measure not in ("gaussian", "compound_poisson"):
-            raise ValueError(f"unknown random-measure type {self.measure!r}")
         if self.tau2 < 0:
             raise ValueError("jump variance tau2 must be >= 0")
         if self.rho <= 0:
             raise ValueError("knot intensity rho must be positive")
+        if self.n_knots is not None and self.n_knots < 0:
+            raise ValueError("knot count n_knots must be >= 0")
+        if self.buffer is not None and self.buffer <= 0:
+            raise ValueError("knot-region buffer must be positive")
         for r0, r1 in self.kernels:
             if r1 <= 0:
                 raise ValueError("kernel decay rate must be positive")
@@ -58,9 +57,9 @@ class FieldModel:
         return len(self.kernels)
 
 
-def car1(lam: float, measure: str = "compound_poisson", **kw) -> FieldModel:
+def car1(lam: float, **kw) -> FieldModel:
     """CAR(1) field: exponential kernel with r0 = 1 and decay lam."""
-    return FieldModel(kernels=((1.0, lam),), measure=measure, **kw)
+    return FieldModel(kernels=((1.0, lam),), **kw)
 
 
 @dataclass(frozen=True)
@@ -151,17 +150,8 @@ def simulate_field(
     if model.tau2 == 0.0:
         return np.zeros(sites.shape[0])
 
-    if model.measure == "gaussian" and sites.shape[0] <= GAUSSIAN_EXACT_MAX_N:
-        return _gaussian_exact(model, sites, rng)
-
     knots, _ = _draw_knots(model, region, rng)
-    if model.measure == "compound_poisson":
-        jump_sd = math.sqrt(model.tau2)
-    else:
-        # knot superposition approximating the Gaussian measure: matching
-        # total variance requires jump variance tau2 / rho per knot
-        jump_sd = math.sqrt(model.tau2 / model.rho)
-    jumps = rng.normal(0.0, jump_sd, size=len(knots))
+    jumps = rng.normal(0.0, math.sqrt(model.tau2), size=len(knots))
     return _superposition(model.kernels[0], sites, knots, jumps)
 
 
@@ -171,8 +161,6 @@ def simulate_bivariate(
     """Two components driven by one shared knot/jump set (shared measure)."""
     if model.dims != 2:
         raise ValueError("model must declare two component kernels")
-    if model.measure != "compound_poisson":
-        raise ValueError("shared-measure simulation supports compound_poisson only")
     sites1 = np.atleast_2d(np.asarray(sites1, dtype=float))
     sites2 = np.atleast_2d(np.asarray(sites2, dtype=float))
     for s in (sites1, sites2):
@@ -207,45 +195,7 @@ def covariance_exponential(model: FieldModel, x) -> float:
 
 def field_variance(model: FieldModel, d: int = 2) -> float:
     """Stationary variance of the simulated field (lag-0 covariance)."""
-    c0 = covariance_exponential(model, np.zeros(d))
-    if model.measure == "compound_poisson":
-        return model.rho * model.tau2 * c0
-    return model.tau2 * c0
-
-
-def _gaussian_exact(model: FieldModel, sites: np.ndarray, rng) -> np.ndarray:
-    n, d = sites.shape
-    if d not in (1, 2):
-        raise ValueError(f"Gaussian exact sampling unsupported for d={d}")
-    r0, r1 = model.kernels[0]
-    # the covariance is built in place on the distance matrix, with one
-    # second n x n array for the exp / K_2 factor
-    cov = cdist(sites, sites)
-    if d == 1:
-        # r0^2 e^{-r1 t} (t + 1/r1)
-        factor = np.multiply(cov, -r1)
-        np.exp(factor, out=factor)
-        cov += 1.0 / r1
-        cov *= factor
-        cov *= model.tau2 * r0 * r0
-    else:
-        # r0^2 pi t^2 K_2(r1 t) / 4, with its limit pi r0^2 / (2 r1^2) at t = 0;
-        # the mask comes first, as K_2(0) = inf and inf * 0 is nan
-        zero = cov == 0.0
-        cov *= r1
-        factor = special.kv(2, cov)
-        factor[zero] = 0.0
-        cov *= cov
-        cov *= factor
-        cov *= model.tau2 * r0 * r0 * math.pi / (4.0 * r1 * r1)
-        cov[zero] = model.tau2 * r0 * r0 * math.pi / (2.0 * r1 * r1)
-    del factor
-    # tiny jitter keeps the factorization stable for near-coincident sites
-    cov.flat[:: n + 1] += 1e-12 * cov.diagonal().max()
-    # cov is symmetric, so cov.T is the same matrix in the Fortran order
-    # that LAPACK factors in place; cov itself would be copied first
-    L = linalg.cholesky(cov.T, lower=True, overwrite_a=True)
-    return L @ rng.standard_normal(n)
+    return model.rho * model.tau2 * covariance_exponential(model, np.zeros(d))
 
 
 def apply_error_model(

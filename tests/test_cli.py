@@ -140,7 +140,8 @@ def test_fit_grid_fits_each_window_site_once(tmp_path, sim_data, monkeypatch):
     out = tmp_path / "fit_out"
     argv = ["fit", "--config", cfg, "--data", str(sim_data), "--out", str(out)]
     assert cli.main(argv) == 0
-    rescaled = load_csv(sim_data).rescaled_sites()
+    data = load_csv(sim_data)
+    rescaled = data.sites / data.region.sides()
     windows = [
         {tuple(x) for x in rescaled[(np.abs(rescaled - z) < h).all(axis=1)]}
         for z in grid
@@ -363,6 +364,35 @@ def test_mc_vectors_are_checked_before_any_replication(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "given, named",
+    [({"error": {"kind": "car1", "lambda": -1}}, "decay rate must be positive"),
+     ({"error": {"kind": "car1", "tau2": -1}}, "tau2 must be >= 0"),
+     ({"error": {"kind": "car1", "sigma2": -1}}, "sigma2 must be >= 0"),
+     ({"error": {"kind": "iid", "sigma2": -1}}, "sigma2 must be >= 0"),
+     ({"error": {"kind": "car1", "n_knots": -5}}, "n_knots must be >= 0"),
+     ({"error": {"kind": "car1", "buffer": 0}}, "buffer must be positive"),
+     ({"n": 0}, "site count n must be >= 1"),
+     ({"tau": 3.0}, "tau must be a number in (0, 1)"),
+     ({"tau": 0.0}, "tau must be a number in (0, 1)")],
+    ids=["car1-lambda", "car1-tau2", "car1-sigma2", "iid-sigma2", "car1-n_knots",
+         "car1-buffer", "n", "tau-high", "tau-zero"],
+)
+def test_mc_error_model_size_and_level_are_checked_before_any_replication(
+    tmp_path, capsys, monkeypatch, given, named
+):
+    ran = []
+    monkeypatch.setattr(mc, "run_replication", lambda spec, rep: ran.append(rep))
+    cfg = _write(tmp_path / "mc.json", {"reps": 3, "n": 300, "A": [10.0, 10.0], **given})
+    capsys.readouterr()
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mc: ") and named in err
+    assert len(err.strip().splitlines()) == 1
+    assert not ran
+    assert not (tmp_path / "o").exists()
+
+
 def test_mc_every_replication_failing_exits_2(tmp_path, capsys):
     h = [0.05, 0.05]
     cfg = _write(
@@ -507,6 +537,51 @@ def test_per_axis_key_must_be_an_array_of_numbers(
     assert f"{key} must be a JSON array" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [("mc", {"reps": "3", "n": 50, "A": [10.0, 10.0]}, "reps"),
+     ("mc", {"reps": 2, "n": 50, "A": [10.0, 10.0], "p": "1"}, "p"),
+     ("mc", {"reps": 2, "n": 200.5, "A": [10.0, 10.0]}, "n"),
+     ("mc", {"reps": 2, "n": 50, "A": [10.0, 10.0], "master_seed": 1.5}, "master_seed"),
+     ("mc", {"reps": 2, "n": 50, "A": [10.0, 10.0],
+             "error": {"kind": "car1", "n_knots": 80.5}}, "error.n_knots"),
+     ("simulate", {"n": "100", "A": [10.0, 10.0]}, "n"),
+     ("simulate", {"n": 100, "A": [10.0, 10.0], "seed": True}, "seed"),
+     ("fit", {"p": "1", "h": [0.25, 0.25], "z": [0.0, 0.0]}, "p"),
+     ("moments", {"d": "2"}, "d"),
+     ("moments", {"p": 1.5}, "p")],
+    ids=["mc-reps", "mc-p", "mc-n", "mc-master_seed", "mc-n_knots", "simulate-n",
+         "simulate-seed", "fit-p", "moments-d", "moments-p"],
+)
+def test_integer_key_must_be_an_integer(tmp_path, capsys, sim_data, command, payload, key):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command == "fit":
+        argv += ["--data", str(sim_data)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be an integer" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_and_knot_count_may_be_null(tmp_path):
+    """null leaves the simulate seed and the mc knot count unset."""
+    sim = _write(tmp_path / "sim.json", {"n": 50, "A": [10.0, 10.0], "seed": None})
+    assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "s")]) == 0
+    unset = _write(tmp_path / "sim0.json", {"n": 50, "A": [10.0, 10.0]})
+    assert cli.main(["simulate", "--config", unset, "--out", str(tmp_path / "s0")]) == 0
+    data = (tmp_path / "s" / "data.csv").read_bytes()
+    assert data == (tmp_path / "s0" / "data.csv").read_bytes()
+    mc_cfg = _write(
+        tmp_path / "mc.json",
+        {"reps": 2, "n": 200, "A": [10.0, 10.0],
+         "error": {"kind": "car1", "n_knots": None}},
+    )
+    assert cli.main(["mc", "--config", mc_cfg, "--out", str(tmp_path / "m")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -318,8 +318,9 @@ def test_two_sample_variance_fits_each_window_residual_once(monkeypatch):
     )
     expected = []
     for data in (d1, d2):
-        u = (data.sites / data.region.sides() - z) / np.asarray(h)
-        window = data.rescaled_sites()[(np.abs(u) < 1.0).all(axis=1)]
+        rescaled = data.sites / data.region.sides()
+        u = (rescaled - z) / np.asarray(h)
+        window = rescaled[(np.abs(u) < 1.0).all(axis=1)]
         expected += [(id(data), tuple(np.round(x, 12))) for x in window]
     assert len(expected) > 0
     assert sorted(fits) == sorted(expected)

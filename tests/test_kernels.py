@@ -23,10 +23,10 @@ def test_kernel_integrates_to_one(family):
 
 def test_triangular_values():
     spec = kernels.KernelSpec(family="product-triangular", d=2)
-    assert kernels.eval_kernel(spec, (0.0, 0.0)) == 1.0
-    assert kernels.eval_kernel(spec, (0.5, 0.5)) == 0.25
-    assert kernels.eval_kernel(spec, (1.0, 0.3)) == 0.0
-    assert kernels.eval_kernel(spec, (-1.2, 0.0)) == 0.0
+    V = np.array([(0.0, 0.0), (0.5, 0.5), (1.0, 0.3), (-1.2, 0.0)])
+    np.testing.assert_array_equal(
+        kernels.eval_kernel_many(spec, V), [1.0, 0.25, 0.0, 0.0]
+    )
 
 
 def test_support_halfwidth_rescaling():
@@ -34,9 +34,9 @@ def test_support_halfwidth_rescaling():
     wide = kernels.KernelSpec(
         family="product-epanechnikov", support_halfwidth=2.0, d=2
     )
-    v = np.array([0.6, -0.8])
-    assert kernels.eval_kernel(wide, v) == pytest.approx(
-        kernels.eval_kernel(base, v / 2.0) / 4.0
+    v = np.array([[0.6, -0.8]])
+    assert kernels.eval_kernel_many(wide, v)[0] == pytest.approx(
+        kernels.eval_kernel_many(base, v / 2.0)[0] / 4.0
     )
 
 
@@ -52,19 +52,25 @@ def test_kernel_spec_validation():
 # --- taper --------------------------------------------------------------
 
 
+def _taper_at(taper, w):
+    """Kbar(w): the taper between displacement w and the origin."""
+    w = np.asarray(w, dtype=float)
+    return float(kernels.eval_taper_pairs(taper, w[None], np.zeros_like(w)[None])[0, 0])
+
+
 def test_taper_values():
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
-    assert kernels.eval_taper(taper, (0.0, 0.0)) == 1.0
-    assert kernels.eval_taper(taper, (8.0, 0.0)) == 0.0
+    assert _taper_at(taper, (0.0, 0.0)) == 1.0
+    assert _taper_at(taper, (8.0, 0.0)) == 0.0
     # 1 - sqrt((3/8)^2 + (4/8)^2) = 1 - 5/8
-    assert kernels.eval_taper(taper, (3.0, 4.0)) == pytest.approx(0.375)
-    assert kernels.eval_taper(taper, (8.0, 8.0)) == 0.0
+    assert _taper_at(taper, (3.0, 4.0)) == pytest.approx(0.375)
+    assert _taper_at(taper, (8.0, 8.0)) == 0.0
 
 
 def test_taper_anisotropic_widths():
     taper = kernels.TaperSpec(widths=(2.0, 4.0))
-    assert kernels.eval_taper(taper, (2.0, 0.0)) == 0.0
-    assert kernels.eval_taper(taper, (0.0, 2.0)) == pytest.approx(0.5)
+    assert _taper_at(taper, (2.0, 0.0)) == 0.0
+    assert _taper_at(taper, (0.0, 2.0)) == pytest.approx(0.5)
 
 
 def test_taper_validation():
@@ -150,15 +156,13 @@ def test_moment_matrices_match_tensor_quadrature(family, d, p):
 
 
 def test_kappa_moment_product_structure():
+    # int z1^2 K(z) dz and int z1^2 z2^2 K^2(z) dz of the product kernel are
+    # products of per-axis moments
     spec = kernels.KernelSpec(family="product-triangular", d=2)
-    assert kernels.kappa_moment(spec, (2, 0), 1) == pytest.approx(1 / 6, abs=1e-12)
-    assert kernels.kappa_moment(spec, (2, 2), 2) == pytest.approx(
-        (1 / 15) ** 2, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        kernels.kappa_moment(spec, (2,), 1)
-    with pytest.raises(ValueError):
-        kernels.kappa_moment(spec, (0, 0), 3)
+    m1 = [kernels.moment_1d(spec, a, 1) for a in (2, 0)]
+    assert m1[0] * m1[1] == pytest.approx(1 / 6, abs=1e-12)
+    m2 = kernels.moment_1d(spec, 2, 2)
+    assert m2 * m2 == pytest.approx((1 / 15) ** 2, abs=1e-12)
 
 
 def test_moment_matrices_dimension_mismatch():

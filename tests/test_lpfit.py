@@ -1,4 +1,4 @@
-"""Local polynomial fitting: exactness, bias plug-in, bandwidth selection."""
+"""Local polynomial fitting: exactness, bias and variance plug-ins."""
 
 import os
 import subprocess
@@ -180,58 +180,27 @@ def test_pilot_config():
     assert pilot.pilot_h is None
 
 
-def test_mse_estimate_is_bias_squared_plus_variance():
-    data = _uniform_dataset(
-        2, 800, 23, lambda u: u[:, 0] ** 2 + u[:, 1] ** 2
+def test_derivative_variance_closed_form():
+    """W s!^2 [S^{-1} Kcal S^{-1}]_kk / (A_n h_1 h_2 prod_l h_{j_l}^2).
+
+    Anisotropic bandwidths and indices of order 0, 1 and 2 pin the s!^2
+    and prod_l h_{j_l}^2 scale as well as the sandwich entry.
+    """
+    h = (0.2, 0.3)
+    config = lpfit.FitConfig(
+        p=2, kernel=kernels.KernelSpec(family="product-triangular", d=2), h=h
     )
-    config = _config(2, 1, 0.2, pilot_h=0.3)
-    z = (0.0, 0.0)
-    W = 0.5
-    mse = lpfit.mse_estimate(data, config, z, (), W)
-    bias = lpfit.estimate_bias(data, config, z)[0]
-    sks00 = config.moments().sks()[0, 0]
-    var = W * sks00 / (data.region.volume * 0.2 * 0.2)
-    assert mse == pytest.approx(bias**2 + var, rel=1e-12)
-    with pytest.raises(ValueError):
-        lpfit.mse_estimate(data, config, z, (), -1.0)
-
-
-def test_select_bandwidth_minimizes_plug_in_mse():
-    data = _uniform_dataset(
-        2, 1500, 29, lambda u: 4 * u[:, 0] ** 2 + 4 * u[:, 1] ** 2
-    )
-    config = _config(2, 1, 0.2, pilot_h=0.3)
-    z = (0.0, 0.0)
-    cands = [0.1, 0.15, 0.2, 0.3, 0.4]
-    W = 1e-4
-    best = lpfit.select_bandwidth(data, config, z, (), cands, W)
-    scores = {
-        h: lpfit.mse_estimate(
-            data, _config(2, 1, h, pilot_h=0.3), z, (), W
-        )
-        for h in cands
-    }
-    assert best == (min(scores, key=scores.get),) * 2
-    # zero responses give exactly zero MSE at every candidate; the tie
-    # goes to the largest kernel window
-    flat = _uniform_dataset(2, 1500, 29)
-    best = lpfit.select_bandwidth(flat, config, z, (), cands, 0.0)
-    assert best == (0.4, 0.4)
-
-
-def test_select_bandwidth_failure_paths():
-    data = _uniform_dataset(2, 30, 31)
-    config = _config(2, 1, 0.2, pilot_h=0.3)
-    with pytest.raises(ValueError):
-        lpfit.select_bandwidth(data, config, (0.0, 0.0), (), [], 1.0)
-    # without a fixed pilot bandwidth the pilot inherits each candidate,
-    # so windows that are too small fail and are reported collectively
-    loose = _config(2, 1, 0.2)
-    with pytest.raises(lpfit.FitError):
-        with pytest.warns(UserWarning):
-            lpfit.select_bandwidth(
-                data, loose, (0.0, 0.0), (), [0.001, 0.002], 1.0
-            )
+    layout, mom = config.layout(), config.moments()
+    Sinv = np.linalg.inv(mom.S)
+    sks = Sinv @ mom.Kcal @ Sinv
+    W, An = 0.5, 100.0
+    # index: (s!, prod_l h_{j_l})
+    cases = {(): (1, 1.0), (2,): (1, 0.3), (1, 1): (2, 0.2 * 0.2), (1, 2): (1, 0.2 * 0.3)}
+    for idx, (s_fact, h_prod) in cases.items():
+        k = layout.position(idx)
+        want = W * s_fact**2 * sks[k, k] / (An * 0.2 * 0.3 * h_prod**2)
+        got = lpfit.derivative_variance(mom, layout, idx, W, An, h)
+        assert got == pytest.approx(want, rel=1e-12), idx
 
 
 GRID_FAULT_PROBE = """

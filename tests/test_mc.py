@@ -31,9 +31,6 @@ def test_make_mean_function():
     const = mc.make_mean_function("1.5")
     np.testing.assert_allclose(const(np.zeros((3, 2))), [1.5, 1.5, 1.5])
 
-    h = mc.make_mean_function(lambda z: z[:, 0])
-    np.testing.assert_allclose(h(np.array([[0.4, 0.0]])), [0.4])
-
 
 @pytest.mark.parametrize(
     "expr",

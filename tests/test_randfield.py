@@ -1,10 +1,7 @@
 """Moving-average field simulation and its exponential-kernel covariance."""
 
-import warnings
-
 import numpy as np
 import pytest
-from scipy import special
 from scipy.spatial.distance import cdist
 
 from spatial_lp import randfield
@@ -57,10 +54,6 @@ def test_field_variance():
     assert randfield.field_variance(model, d=2) == pytest.approx(
         0.01 * np.pi, rel=1e-12
     )
-    gauss = randfield.car1(1.0, measure="gaussian", tau2=0.01)
-    assert randfield.field_variance(gauss, d=2) == pytest.approx(
-        0.005 * np.pi, rel=1e-12
-    )
 
 
 # --- simulation -----------------------------------------------------------
@@ -105,20 +98,6 @@ def test_compound_poisson_empirical_variance():
         sq.append(np.mean(e * e))
     target = randfield.field_variance(model, d=2)
     assert np.mean(sq) == pytest.approx(target, rel=0.12)
-
-
-def test_gaussian_exact_matches_covariance():
-    region = Region(A=(10.0,))
-    model = randfield.car1(2.0, measure="gaussian", tau2=1.0)
-    sites = np.array([[0.0], [1.0]])
-    draws = np.array(
-        [randfield.simulate_field(model, region, sites, rep) for rep in range(3000)]
-    )
-    cov = np.cov(draws.T)
-    c0 = randfield.covariance_exponential(model, [0.0])
-    c1 = randfield.covariance_exponential(model, [1.0])
-    assert cov[0, 0] == pytest.approx(c0, rel=0.1)
-    assert cov[0, 1] == pytest.approx(c1, rel=0.15)
 
 
 def test_bivariate_shared_measure():
@@ -221,40 +200,6 @@ def test_bivariate_matches_dense_reference():
         assert _rel_err(e, _dense_superposition(kernel, sites, knots, jumps)) <= 1e-12
 
 
-# --- Gaussian measure, exact sampling ---------------------------------------
-
-
-def _gaussian_exact_reference(model, sites, rng):
-    """The covariance as first written: one fresh n x n array per step."""
-    n, d = sites.shape
-    r0, r1 = model.kernels[0]
-    dist = cdist(sites, sites)
-    if d == 1:
-        prof = r0 * r0 * np.exp(-r1 * dist) * (dist + 1.0 / r1)
-    else:
-        prof = np.empty_like(dist)
-        zero = dist == 0.0
-        prof[zero] = r0 * r0 * np.pi / (2.0 * r1 * r1)
-        td = dist[~zero]
-        prof[~zero] = r0 * r0 * np.pi * td * td * special.kv(2, r1 * td) / 4.0
-    cov = model.tau2 * prof
-    cov[np.diag_indices(n)] += 1e-12 * cov.diagonal().max()
-    L = np.linalg.cholesky(cov)
-    return L @ rng.standard_normal(n)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_gaussian_exact_matches_reference_formula(d):
-    region = Region(A=(10.0,) * d)
-    model = randfield.car1(0.8, measure="gaussian", tau2=0.5)
-    sites = _sites(region, 300, 21)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        e = randfield.simulate_field(model, region, sites, 4)
-    ref = _gaussian_exact_reference(model, sites, np.random.default_rng(4))
-    assert _rel_err(e, ref) <= 1e-8
-
-
 # --- noise model ----------------------------------------------------------
 
 
@@ -281,8 +226,6 @@ def test_apply_error_model_callable_variance():
 
 def test_validation_errors():
     region = Region(A=(10.0, 10.0))
-    with pytest.raises(ValueError):
-        randfield.FieldModel(kernels=((1.0, 1.0),), measure="levy-stable")
     with pytest.raises(ValueError):
         randfield.FieldModel(kernels=((1.0, 1.0),), tau2=-1.0)
     with pytest.raises(ValueError):
