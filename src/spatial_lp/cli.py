@@ -55,10 +55,19 @@ SECTION_KEYS = {
 }
 # Keys holding one number per axis; z_grid holds one array of them per axis.
 AXIS_KEYS = {"A", "h", "fit_h", "pilot_h", "variance_h", "taper_b", "z"}
-# Keys holding one integer, a section key written "section.key". The
-# NULLABLE ones may also be null: the default seed, a Poisson knot count.
-INTEGER_KEYS = {"n", "reps", "p", "d", "seed", "master_seed", "error.n_knots"}
-NULLABLE = {"seed", "error.n_knots"}
+# Keys holding one scalar, a section key written "section.key", and what each
+# must be. null asks for the default seed, a Poisson knot count, the automatic
+# knot margin or the error kind's sigma2.
+SCALAR_KEYS = {
+    "n": "an integer", "reps": "an integer", "p": "an integer", "d": "an integer",
+    "master_seed": "an integer", "seed": "an integer or null",
+    "error.n_knots": "an integer or null",
+    "error.sigma2": "a number or null", "error.buffer": "a number or null",
+    "error.lambda": "a number", "error.tau2": "a number", "kernel.C_K": "a number",
+    "mean_offset": "a number", "outlier_threshold": "a number",
+    "max_failure_fraction": "a number",
+    "mean": "a string", "error.kind": "a string",
+}
 
 
 def _is_numbers(value) -> bool:
@@ -70,6 +79,13 @@ def _is_numbers(value) -> bool:
 
 def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+_IS_KIND = {
+    "an integer": _is_integer,
+    "a number": lambda v: _is_numbers([v]),
+    "a string": lambda v: isinstance(v, str),
+}
 
 
 def _load_config(path, allowed: set) -> dict:
@@ -96,14 +112,15 @@ def _load_config(path, allowed: set) -> dict:
     for key in sorted(AXIS_KEYS & cfg.keys()):
         if not _is_numbers(cfg[key]):
             raise ConfigError(f"{path}: {key} must be a JSON array of numbers")
-    for key in sorted(INTEGER_KEYS):
+    for key, kind in sorted(SCALAR_KEYS.items()):
         section, _, name = key.rpartition(".")
         holder = (cfg.get(section) or {}) if section else cfg
         if name not in holder:
             continue
         value = holder[name]
-        if not (value is None and key in NULLABLE or _is_integer(value)):
-            raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
+        base, nullable, _ = kind.partition(" or null")
+        if not (value is None and nullable or _IS_KIND[base](value)):
+            raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
     grid = cfg.get("z_grid", [])
     if not (isinstance(grid, list) and all(map(_is_numbers, grid))):
         raise ConfigError(f"{path}: z_grid must be a JSON array of arrays of numbers")
@@ -203,56 +220,38 @@ def cmd_fit(args) -> int:
         raise ConfigError("fit config needs 'z' or 'z_grid'")
 
     with_ci = "taper_b" in cfg
-    taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"])) if with_ci else None
-    variance_h = tuple(cfg.get("variance_h", cfg["h"]))
     if with_ci:
+        taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"]))
+        variance_h = tuple(cfg.get("variance_h", cfg["h"]))
         res_cfg = FitConfig(p=config.p, kernel=kern, h=variance_h)
         mhat = _fitted_once(dataset, res_cfg)
-    mom = config.moments()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for z in zs:
         zarr = np.asarray(z, dtype=float)
+        zkey = ";".join(f"{v:g}" for v in z)
         try:
             fit = fit_at(dataset, config, zarr)
-            bias = (
-                estimate_bias(dataset, config, zarr) if config.pilot_h else None
-            )
-            fit.bias_hat = bias
-            varest = None
+            bias = estimate_bias(dataset, config, zarr) if config.pilot_h else None
             if with_ci:
                 varest = variance_hat(dataset, res_cfg, taper, zarr, mhat)
-            for k, idx in enumerate(fit.layout.indices):
+            for idx in fit.layout.indices:
                 row = {
-                    "z": ";".join(f"{v:g}" for v in z),
+                    "z": zkey,
                     "index": "".join(map(str, idx)),
                     "estimate": fit.derivative(idx),
-                    "bias": (
-                        ""
-                        if bias is None
-                        else derivative_bias(fit.layout, idx, bias, config.h)
-                    ),
+                    "bias": "" if bias is None else derivative_bias(config, idx, bias),
                     "boundary": int(fit.boundary_flag),
-                    "error": "",
                 }
-                if varest is not None:
-                    lo, hi = confidence_interval(fit, varest, mom, idx, tau)
+                if with_ci:
+                    lo, hi = confidence_interval(fit, bias, varest.W_hat, idx, tau)
                     row["W_hat"] = varest.W_hat
                     row["ci_lo"], row["ci_hi"] = lo, hi
                 rows.append(row)
         except (FitError, ValueError) as exc:
-            rows.append(
-                {
-                    "z": ";".join(f"{v:g}" for v in z),
-                    "index": "",
-                    "estimate": "",
-                    "bias": "",
-                    "boundary": "",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            rows.append({"z": zkey, "error": f"{type(exc).__name__}: {exc}"})
     fields = ["z", "index", "estimate", "bias", "boundary", "error"]
     if with_ci:
         fields += ["W_hat", "ci_lo", "ci_hi"]
@@ -326,7 +325,7 @@ def cmd_two_sample(args) -> int:
     fit1 = fit_at(ds1, config, z)
     fit2 = fit_at(ds2, config, z)
     V = two_sample_variance(ds1, ds2, res_cfg, taper, z)
-    report = two_sample_test(fit1, fit2, V, config.moments(), idx, tau)
+    report = two_sample_test(fit1, fit2, V, idx, tau)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 GENERATOR_ID = "numpy-pcg64-seedseq-v1"
 
@@ -82,7 +82,7 @@ class SamplingDensity:
         if self.kind == "product-beta":
             a = self.params["alpha"][j]
             b = self.params["beta"][j]
-            return stats.beta.ppf(u, a, b) - 0.5
+            return betaincinv(a, b, u) - 0.5
         # custom-grid: piecewise-constant density -> piecewise-linear CDF
         w = np.asarray(self.params["weights"][j], dtype=float)
         k = len(w)

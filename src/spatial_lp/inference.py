@@ -103,20 +103,19 @@ def variance_hat(
 
 
 def confidence_interval(
-    fit: FitResult,
-    varest: VarianceEstimate,
-    moments: kernels.MomentMatrices,
-    idx,
-    tau: float,
+    fit: FitResult, bias: np.ndarray | None, W: float, idx, tau: float
 ) -> tuple[float, float]:
-    """Bias-corrected normal confidence interval for a derivative of the mean."""
+    """Normal confidence interval for a derivative of the mean, W the variance factor.
+
+    Bias-corrected by estimate_bias's vector for fit.config unless bias is None.
+    """
     if not 0.0 < tau < 1.0:
         raise ValueError("level tau must be in (0, 1)")
     idx = tuple(idx)
     center = fit.derivative(idx)
-    if fit.bias_hat is not None:
-        center -= derivative_bias(fit.layout, idx, fit.bias_hat, fit.h)
-    var = derivative_variance(moments, fit.layout, idx, varest.W_hat, fit.An, fit.h)
+    if bias is not None:
+        center -= derivative_bias(fit.config, idx, bias)
+    var = derivative_variance(fit.config, idx, W, fit.An)
     hw = normal_quantile(1.0 - tau / 2.0) * np.sqrt(max(var, 0.0))
     return (center - hw, center + hw)
 
@@ -152,7 +151,6 @@ def two_sample_test(
     fit1: FitResult,
     fit2: FitResult,
     V_check: float,
-    moments: kernels.MomentMatrices,
     idx,
     tau: float,
 ) -> TestReport:
@@ -160,17 +158,15 @@ def two_sample_test(
     if not 0.0 < tau < 0.5:
         raise ValueError("test level tau must be in (0, 1/2)")
     idx = tuple(idx)
-    if not np.allclose(fit1.h, fit2.h) or not np.allclose(fit1.z, fit2.z):
-        raise ValueError("both fits must use the same z and bandwidths")
+    if fit1.config != fit2.config or not np.allclose(fit1.z, fit2.z):
+        raise ValueError("both fits must use the same z and fit configuration")
     if V_check <= 0.0:
         return TestReport(
             idx=idx, T=float("nan"), V_check=V_check, p_value=float("nan"),
             level=tau, decision="inconclusive",
         )
     diff = fit1.derivative(idx) - fit2.derivative(idx)
-    T = diff / np.sqrt(
-        derivative_variance(moments, fit1.layout, idx, V_check, fit1.An, fit1.h)
-    )
+    T = diff / np.sqrt(derivative_variance(fit1.config, idx, V_check, fit1.An))
     p = 2.0 * (1.0 - normal_cdf(abs(T)))
     q = normal_quantile(1.0 - tau / 2.0)
     return TestReport(

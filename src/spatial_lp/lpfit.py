@@ -83,18 +83,20 @@ def _moments_cached(spec, p):
     return kernels.moment_matrices(spec, _layout_cached(spec.d, p))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
-    """Coefficients and derivative estimates of one local fit."""
+    """Coefficients and derivative estimates of one local fit under config."""
 
     z: np.ndarray
     beta_hat: np.ndarray
-    layout: basis.BasisLayout
-    h: np.ndarray
+    config: FitConfig
     An: float
     n_eff: int
     boundary_flag: bool
-    bias_hat: np.ndarray | None = None
+
+    @property
+    def layout(self) -> basis.BasisLayout:
+        return self.config.layout()
 
     def derivative(self, idx) -> float:
         idx = tuple(idx)
@@ -237,8 +239,7 @@ def fit_at(dataset: SpatialDataset, config: FitConfig, z) -> FitResult:
     return FitResult(
         z=z,
         beta_hat=beta[0],
-        layout=config.layout(),
-        h=np.asarray(config.h, dtype=float),
+        config=config,
         An=dataset.region.volume,
         n_eff=int(n_eff[0]),
         boundary_flag=boundary,
@@ -385,20 +386,20 @@ def estimate_bias(dataset: SpatialDataset, config: FitConfig, z) -> np.ndarray:
     return np.linalg.solve(mom.S, mom.B @ Mn)
 
 
-def derivative_bias(layout, idx, bias_vec: np.ndarray, h) -> float:
-    """Map a component of the H-scale bias vector to the derivative scale."""
+def derivative_bias(config: FitConfig, idx, bias_vec: np.ndarray) -> float:
+    """Map a component of config's H-scale bias vector to the derivative scale."""
     idx = tuple(idx)
-    return float(basis.derivative_scale(idx, h) * bias_vec[layout.position(idx)])
+    k = config.layout().position(idx)
+    return float(basis.derivative_scale(idx, config.h) * bias_vec[k])
 
 
-def derivative_variance(
-    moments: kernels.MomentMatrices, layout, idx, W: float, An: float, h
-) -> float:
+def derivative_variance(config: FitConfig, idx, W: float, An: float) -> float:
     """Plug-in variance of a derivative estimate with long-run variance factor W.
 
     W s!^2 [S^{-1} Kcal S^{-1}]_kk / (A_n prod_j h_j prod_l h_{j_l}^2).
     """
     idx = tuple(idx)
-    k = layout.position(idx)
-    scale = basis.derivative_scale(idx, h)
-    return float(W * scale**2 * moments.sks()[k, k] / (An * float(np.prod(h))))
+    k = config.layout().position(idx)
+    scale = basis.derivative_scale(idx, config.h)
+    sks = config.moments().sks()
+    return float(W * scale**2 * sks[k, k] / (An * float(np.prod(config.h))))

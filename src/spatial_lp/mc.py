@@ -3,7 +3,7 @@
 Each replication generates sites, simulates the error process, fits the
 local polynomial at the evaluation point, plugs in the estimated bias and
 variance, and records the normalized intercept statistic
-T_hat = (beta0_hat - bias_hat - m(z)) / sqrt(var_hat) together with the
+T_hat = (beta0_hat - bias0_hat - m(z)) / sqrt(var_hat) together with the
 confidence-interval coverage of m(z).
 """
 
@@ -274,9 +274,7 @@ def run_replication(spec: ExperimentSpec, rep: int) -> tuple[float, bool]:
     taper = kernels.TaperSpec(widths=spec.taper_b)
     varest = variance_hat(dataset, res_config, taper, zpt)
 
-    var0 = derivative_variance(
-        config.moments(), config.layout(), (), varest.W_hat, region.volume, spec.fit_h
-    )
+    var0 = derivative_variance(config, (), varest.W_hat, fit.An)
 
     mean_fn = make_mean_function(spec.mean)
     beta0_true = float(mean_fn(zpt[None, :])[0]) + spec.mean_offset
@@ -294,8 +292,8 @@ def _rep_worker(args):
         return rep, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def summarize(values, tau, outlier_threshold, covered=None):
-    """Sample mean/variance of retained T values plus CI coverage.
+def summarize(values, covered, outlier_threshold):
+    """Sample mean/variance of retained T values plus the share of covered flags.
 
     Values below the outlier threshold are dropped from mean/variance only,
     mirroring the exclusion rule of the benchmark study.
@@ -306,9 +304,6 @@ def summarize(values, tau, outlier_threshold, covered=None):
         raise ValueError("no replications retained after outlier exclusion")
     mean = float(retained.mean())
     var = float(retained.var(ddof=1)) if retained.size > 1 else None
-    if covered is None:
-        q = normal_quantile(1.0 - tau / 2.0)
-        covered = np.abs(values) <= q
     coverage = float(np.mean(covered))
     return mean, var, coverage, retained.size
 
@@ -348,7 +343,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentSummary:
         )
 
     mean, var, coverage, retained = summarize(
-        t_values, spec.tau, spec.outlier_threshold, covered=np.asarray(covered)
+        t_values, np.asarray(covered), spec.outlier_threshold
     )
 
     finite = np.asarray(t_values)

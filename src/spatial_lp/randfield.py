@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .dataset import Region
 
-# site-knot pairs per row block of the superposition (lpfit's budget)
+# site-knot pairs per row block of the superposition (twice lpfit's budget)
 BLOCK_PAIRS = 1 << 16
 
 
@@ -193,9 +193,16 @@ def covariance_exponential(model: FieldModel, x) -> float:
     raise ValueError(f"exponential-kernel covariance unsupported for d={d}")
 
 
-def field_variance(model: FieldModel, d: int = 2) -> float:
-    """Stationary variance of the simulated field (lag-0 covariance)."""
-    return model.rho * model.tau2 * covariance_exponential(model, np.zeros(d))
+def field_variance(model: FieldModel, region: Region) -> float:
+    """Stationary variance of the field simulated on region (lag-0 covariance).
+
+    The knot intensity is rho, or a fixed n_knots over the knot region's volume.
+    """
+    intensity = model.rho
+    if model.n_knots is not None:
+        volume = float(np.prod(2.0 * _knot_halfwidths(model, region)))
+        intensity = model.n_knots / volume
+    return intensity * model.tau2 * covariance_exponential(model, np.zeros(region.d))
 
 
 def apply_error_model(

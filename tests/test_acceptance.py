@@ -273,9 +273,7 @@ def test_acceptance_4_field_covariance():
                     dev <= 3 * se,
                 )
             )
-    c0 = randfield.field_variance(
-        randfield.car1(1.0, tau2=0.01, rho=2.0), d=2
-    )
+    c0 = randfield.field_variance(randfield.car1(1.0, tau2=0.01, rho=2.0), region)
     checks.append((f"lag-0 variance {c0:.4f} ~ 0.0314 for lam=1", abs(c0 - 0.0314) < 1e-3))
     _report(4, checks)
 
@@ -345,9 +343,7 @@ def _two_sample_rep(rep: int, n: int, gap: float, master: int) -> bool:
     fit1 = lpfit.fit_at(ds1, config, np.zeros(2))
     fit2 = lpfit.fit_at(ds2, config, np.zeros(2))
     V = inference.two_sample_variance(ds1, ds2, config, taper, np.zeros(2))
-    report = inference.two_sample_test(
-        fit1, fit2, V, config.moments(), (), 0.05
-    )
+    report = inference.two_sample_test(fit1, fit2, V, (), 0.05)
     return report.decision == "reject"
 
 

@@ -27,6 +27,18 @@ def test_version(capsys):
     assert "spatial-lp" in capsys.readouterr().out
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """The package needs no scipy.stats, which would double its import time."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spatial_lp.cli; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_moments_command(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"d": 2, "p": 1})
     assert cli.main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -566,6 +578,66 @@ def test_integer_key_must_be_an_integer(tmp_path, capsys, sim_data, command, pay
     assert f"{key} must be an integer" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+MC_BASE = {"reps": 2, "n": 50, "A": [10.0, 10.0]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, key, kind",
+    [("mc", {**MC_BASE, "error": {"kind": "car1", "sigma2": "0.01"}},
+      "error.sigma2", "a number or null"),
+     ("mc", {**MC_BASE, "error": {"kind": "car1", "lambda": "1"}},
+      "error.lambda", "a number"),
+     ("mc", {**MC_BASE, "error": {"kind": "car1", "tau2": "0.01"}},
+      "error.tau2", "a number"),
+     ("mc", {**MC_BASE, "error": {"kind": "car1", "buffer": "2"}},
+      "error.buffer", "a number or null"),
+     ("mc", {**MC_BASE, "error": {"kind": ["car1"]}}, "error.kind", "a string"),
+     ("mc", {**MC_BASE, "kernel": {"C_K": "1"}}, "kernel.C_K", "a number"),
+     ("mc", {**MC_BASE, "mean_offset": "1"}, "mean_offset", "a number"),
+     ("mc", {**MC_BASE, "outlier_threshold": "x"}, "outlier_threshold", "a number"),
+     ("mc", {**MC_BASE, "max_failure_fraction": "x"}, "max_failure_fraction",
+      "a number"),
+     ("mc", {**MC_BASE, "mean": 5}, "mean", "a string"),
+     ("simulate", {"n": 50, "A": [10.0, 10.0], "error": {"kind": "car1", "tau2": True}},
+      "error.tau2", "a number"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "kernel": {"C_K": "1"}},
+      "kernel.C_K", "a number")],
+    ids=["mc-sigma2", "mc-lambda", "mc-tau2", "mc-buffer", "mc-kind", "mc-C_K",
+         "mc-mean_offset", "mc-outlier_threshold", "mc-max_failure_fraction",
+         "mc-mean", "simulate-tau2", "fit-C_K"],
+)
+def test_scalar_key_must_have_its_kind(
+    tmp_path, capsys, monkeypatch, sim_data, command, payload, key, kind
+):
+    """A scalar of the wrong kind is one config error before any replication or fit."""
+    calls = []
+    monkeypatch.setattr(mc, "run_replication", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "fit_at", lambda *args: calls.append(args))
+    cfg = _write(tmp_path / "cfg.json", payload)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command == "fit":
+        argv += ["--data", str(sim_data)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be {kind}, got" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not calls
+    assert not (tmp_path / "o").exists()
+
+
+def test_knot_buffer_and_noise_variance_may_be_null(tmp_path):
+    """null sets the automatic knot margin and the error kind's default sigma2."""
+    cfg = _write(
+        tmp_path / "mc.json",
+        {**MC_BASE, "n": 200, "error": {"kind": "car1", "buffer": None, "sigma2": None}},
+    )
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    spec = json.loads((tmp_path / "m" / "summary.json").read_text())["metadata"]["spec"]
+    assert spec["error"]["buffer"] is None
+    assert spec["error"]["sigma2"] == mc.SIGMA2["car1"]
 
 
 def test_seed_and_knot_count_may_be_null(tmp_path):

@@ -1,5 +1,6 @@
 """Variance estimation, confidence intervals, and the two-sample test."""
 
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from _oracles import bisect_normal_quantile
 
 KERN = kernels.KernelSpec(family="product-triangular", d=2)
 MOM = kernels.moment_matrices(KERN, basis.build_layout(2, 1))
-LAYOUT = basis.build_layout(2, 1)
 
 
 def _config(h, kern=KERN):
@@ -159,8 +159,7 @@ def test_interval_halfwidth_formula():
     fit = _fit_result([1.0, 0.0, 0.0], h=h, An=An)
 
     def halfwidth(W):
-        varest = inference.VarianceEstimate(g_hat=1.0, W_hat=W)
-        lo, hi = inference.confidence_interval(fit, varest, MOM, (1,), tau)
+        lo, hi = inference.confidence_interval(fit, None, W, (1,), tau)
         return 0.5 * (hi - lo)
 
     sks = MOM.sks()
@@ -171,33 +170,32 @@ def test_interval_halfwidth_formula():
     assert halfwidth(4 * W) == pytest.approx(2 * halfwidth(W), rel=1e-12)
 
 
-def _fit_result(beta, h=(0.2, 0.2), An=100.0, bias=None):
+def _fit_result(beta, h=(0.2, 0.2), An=100.0, p=1):
     return lpfit.FitResult(
         z=np.zeros(2),
         beta_hat=np.asarray(beta, dtype=float),
-        layout=LAYOUT,
-        h=np.asarray(h, dtype=float),
+        config=lpfit.FitConfig(p=p, kernel=KERN, h=tuple(h)),
         An=An,
         n_eff=50,
         boundary_flag=False,
-        bias_hat=None if bias is None else np.asarray(bias, dtype=float),
     )
 
 
 def test_confidence_interval_is_bias_corrected():
-    fit = _fit_result([2.0, 0.1, -0.1], bias=[0.3, 0.0, 0.0])
-    varest = inference.VarianceEstimate(g_hat=1.0, W_hat=0.5)
-    lo, hi = inference.confidence_interval(fit, varest, MOM, (), 0.05)
+    fit = _fit_result([2.0, 0.1, -0.1])
+    bias = np.array([0.3, 0.0, 0.0])
+    lo, hi = inference.confidence_interval(fit, bias, 0.5, (), 0.05)
     assert 0.5 * (lo + hi) == pytest.approx(1.7, rel=1e-12)
-    var = lpfit.derivative_variance(MOM, LAYOUT, (), 0.5, 100.0, fit.h)
+    var = lpfit.derivative_variance(fit.config, (), 0.5, 100.0)
     hw = inference.normal_quantile(0.975) * np.sqrt(var)
     assert hi - lo == pytest.approx(2 * hw, rel=1e-12)
     # a first-order bias is on the H scale: divided by its axis bandwidth
-    fit = _fit_result([2.0, 0.1, -0.1], h=(0.2, 0.4), bias=[0.3, 0.02, 0.04])
-    lo, hi = inference.confidence_interval(fit, varest, MOM, (2,), 0.05)
+    fit = _fit_result([2.0, 0.1, -0.1], h=(0.2, 0.4))
+    bias = np.array([0.3, 0.02, 0.04])
+    lo, hi = inference.confidence_interval(fit, bias, 0.5, (2,), 0.05)
     assert 0.5 * (lo + hi) == pytest.approx(-0.1 - 0.04 / 0.4, rel=1e-12)
     with pytest.raises(ValueError):
-        inference.confidence_interval(fit, varest, MOM, (), 1.5)
+        inference.confidence_interval(fit, bias, 0.5, (), 1.5)
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
@@ -342,13 +340,13 @@ def test_two_sample_test_decisions():
     fit1 = _fit_result([2.0, 0.0, 0.0], h=h)
     # An = 100, prod h = 0.0625, V = 1, sks00 = 4/9 -> T = 3.75 * diff
     fit2 = _fit_result([1.0, 0.0, 0.0], h=h)
-    report = inference.two_sample_test(fit1, fit2, 1.0, MOM, (), 0.05)
+    report = inference.two_sample_test(fit1, fit2, 1.0, (), 0.05)
     assert report.T == pytest.approx(3.75, rel=1e-12)
     assert report.decision == "reject"
     assert report.p_value < 0.001
 
     fit3 = _fit_result([1.9, 0.0, 0.0], h=h)
-    report = inference.two_sample_test(fit1, fit3, 1.0, MOM, (), 0.05)
+    report = inference.two_sample_test(fit1, fit3, 1.0, (), 0.05)
     assert report.T == pytest.approx(0.375, rel=1e-9)
     assert report.decision == "accept"
     assert report.p_value > 0.05
@@ -357,12 +355,34 @@ def test_two_sample_test_decisions():
 def test_two_sample_test_inconclusive_and_validation():
     fit1 = _fit_result([1.0, 0.0, 0.0])
     fit2 = _fit_result([2.0, 0.0, 0.0])
-    report = inference.two_sample_test(fit1, fit2, 0.0, MOM, (), 0.05)
+    report = inference.two_sample_test(fit1, fit2, 0.0, (), 0.05)
     assert report.decision == "inconclusive"
     assert np.isnan(report.T)
 
     other_h = _fit_result([1.0, 0.0, 0.0], h=(0.3, 0.3))
     with pytest.raises(ValueError):
-        inference.two_sample_test(fit1, other_h, 1.0, MOM, (), 0.05)
+        inference.two_sample_test(fit1, other_h, 1.0, (), 0.05)
     with pytest.raises(ValueError):
-        inference.two_sample_test(fit1, fit2, 1.0, MOM, (), 0.8)
+        inference.two_sample_test(fit1, fit2, 1.0, (), 0.8)
+
+
+def test_two_sample_test_requires_one_fit_config():
+    """Equal bandwidths are not enough: the two fits must share p as well.
+
+    An order-2 fit's coefficients are on another basis, so a report built
+    on the first fit's layout would compare unlike quantities.
+    """
+    fit1 = _fit_result([1.0, 0.0, 0.0])
+    fit2 = _fit_result([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], p=2)
+    assert fit1.config.h == fit2.config.h
+    with pytest.raises(ValueError, match="fit configuration"):
+        inference.two_sample_test(fit1, fit2, 1.0, (), 0.05)
+    with pytest.raises(ValueError, match="fit configuration"):
+        inference.two_sample_test(fit2, fit1, 1.0, (1,), 0.05)
+
+
+def test_fit_result_is_frozen():
+    fit = _fit_result([1.0, 0.0, 0.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fit.beta_hat = np.ones(3)
+    assert fit.layout is fit.config.layout()

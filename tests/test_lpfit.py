@@ -86,10 +86,9 @@ def test_quadratic_bias_plug_in():
 def test_derivative_bias_scaling():
     config = _config(2, 1, 0.2)
     vec = np.array([0.5, 0.02, -0.04])
-    layout, h = config.layout(), config.h
-    assert lpfit.derivative_bias(layout, (), vec, h) == pytest.approx(0.5)
-    assert lpfit.derivative_bias(layout, (1,), vec, h) == pytest.approx(0.02 / 0.2)
-    assert lpfit.derivative_bias(layout, (2,), vec, h) == pytest.approx(-0.04 / 0.2)
+    assert lpfit.derivative_bias(config, (), vec) == pytest.approx(0.5)
+    assert lpfit.derivative_bias(config, (1,), vec) == pytest.approx(0.02 / 0.2)
+    assert lpfit.derivative_bias(config, (2,), vec) == pytest.approx(-0.04 / 0.2)
 
 
 def test_cubic_bias_with_mixed_terms_and_unequal_bandwidths():
@@ -199,7 +198,7 @@ def test_derivative_variance_closed_form():
     for idx, (s_fact, h_prod) in cases.items():
         k = layout.position(idx)
         want = W * s_fact**2 * sks[k, k] / (An * 0.2 * 0.3 * h_prod**2)
-        got = lpfit.derivative_variance(mom, layout, idx, W, An, h)
+        got = lpfit.derivative_variance(config, idx, W, An)
         assert got == pytest.approx(want, rel=1e-12), idx
 
 

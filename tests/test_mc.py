@@ -95,19 +95,19 @@ def test_experiment_spec_validation():
 
 def test_summarize_outlier_rule():
     values = [-12.0, 0.0, 1.0]
-    mean, var, coverage, retained = mc.summarize(values, 0.05, -10.0)
+    mean, var, coverage, retained = mc.summarize(values, [False, True, True], -10.0)
     # -12 is dropped from the moments but still counts against coverage
     assert retained == 2
     assert mean == pytest.approx(0.5)
     assert var == pytest.approx(0.5)
     assert coverage == pytest.approx(2 / 3)
     with pytest.raises(ValueError):
-        mc.summarize([-20.0, -30.0], 0.05, -10.0)
+        mc.summarize([-20.0, -30.0], [False, False], -10.0)
 
 
 def test_summarize_explicit_coverage():
     _, _, coverage, _ = mc.summarize(
-        [0.0, 0.0, 0.0], 0.05, -10.0, covered=np.array([True, False, True])
+        [0.0, 0.0, 0.0], np.array([True, False, True]), -10.0
     )
     assert coverage == pytest.approx(2 / 3)
 

@@ -51,7 +51,7 @@ def test_covariance_is_isotropic():
 def test_field_variance():
     model = randfield.car1(1.0, tau2=0.01, rho=2.0)
     # rho * tau2 * pi / (2 lam^2) = 0.0314159...
-    assert randfield.field_variance(model, d=2) == pytest.approx(
+    assert randfield.field_variance(model, Region(A=(10.0, 10.0))) == pytest.approx(
         0.01 * np.pi, rel=1e-12
     )
 
@@ -96,8 +96,23 @@ def test_compound_poisson_empirical_variance():
     for rep in range(200):
         e = randfield.simulate_field(model, region, sites, rep)
         sq.append(np.mean(e * e))
-    target = randfield.field_variance(model, d=2)
+    target = randfield.field_variance(model, region)
     assert np.mean(sq) == pytest.approx(target, rel=0.12)
+
+
+def test_fixed_knot_count_sets_the_field_variance():
+    """800 knots on the doubled 20 x 20 region: intensity 800/1600 = 0.5, not rho."""
+    region = Region(A=(20.0, 20.0))
+    model = randfield.car1(1.0, tau2=0.01, n_knots=800, buffer=2.0)
+    target = randfield.field_variance(model, region)
+    # intensity * tau2 * pi / (2 lam^2)
+    assert target == pytest.approx(0.5 * 0.01 * np.pi / 2, rel=1e-12)
+    sites = _sites(region, 60, 3)
+    sq = [
+        np.mean(randfield.simulate_field(model, region, sites, rep) ** 2)
+        for rep in range(400)
+    ]
+    assert np.mean(sq) == pytest.approx(target, rel=0.05)
 
 
 def test_bivariate_shared_measure():
