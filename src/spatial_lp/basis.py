@@ -8,9 +8,11 @@ first-order indices, then the second-order block, and so on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +119,78 @@ def build_layout(d: int, p: int) -> BasisLayout:
     layout = BasisLayout(d=d, p=p, indices=tuple(indices), top_indices=tuple(top))
     layout._pos.update({idx: k for k, idx in enumerate(indices)})
     return layout
+
+
+def fill_monomials(layout: BasisLayout, out: np.ndarray) -> np.ndarray:
+    """Complete out[k] = prod_l t[j_l - 1] for every basis index k, in place.
+
+    out[1:d + 1] holds t on entry: the first-order indices (j,) sit at
+    position j. Every index of order >= 2 is its prefix times one more axis,
+    and canonical order puts each prefix before it is used.
+    """
+    out[0] = 1.0
+    for k in range(layout.d + 1, layout.D):
+        idx = layout.indices[k]
+        np.multiply(out[layout.position(idx[:-1])], out[idx[-1]], out=out[k])
+    return out
+
+
+def monomials(layout: BasisLayout, t) -> np.ndarray:
+    """Every basis monomial of t, shape (d, ...): out[k] is that of basis index k."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty((layout.D, *t.shape[1:]))
+    out[1:layout.d + 1] = t
+    return fill_monomials(layout, out)
+
+
+class ShiftTables(NamedTuple):
+    """Integer tables for products and shifts of the order-p monomials m.
+
+    product[a, b] is the position in the order-2p layout of the index whose
+    counts are those of a plus those of b, so m_a(t) m_b(t) = m_product[a, b](t).
+    Where b's counts are within a's, binom[a, b] = prod_j C(alpha_j, beta_j)
+    and rest[a, b] is the position of the index with counts alpha - beta;
+    elsewhere both are 0. Then T(delta)[a, b] = binom[a, b] m_rest[a, b](-delta)
+    gives m(t - delta) = T(delta) m(t) by the binomial theorem on each axis.
+    """
+
+    product: np.ndarray
+    binom: np.ndarray
+    rest: np.ndarray
+
+
+def _from_counts(counts) -> MultiIndex:
+    return tuple(j + 1 for j, c in enumerate(counts) for _ in range(c))
+
+
+@functools.cache
+def shift_tables(d: int, p: int) -> ShiftTables:
+    """The ShiftTables of the order-p basis on d axes, built once per (d, p)."""
+    layout, double = build_layout(d, p), build_layout(d, 2 * p)
+    counts = layout.counts_matrix()
+    D = layout.D
+    product = np.zeros((D, D), dtype=np.int64)
+    binom = np.zeros((D, D), dtype=np.int64)
+    rest = np.zeros((D, D), dtype=np.int64)
+    for a, ca in enumerate(counts):
+        for b, cb in enumerate(counts):
+            product[a, b] = double.position(_from_counts(ca + cb))
+            if (cb <= ca).all():
+                binom[a, b] = np.prod([comb(x, y) for x, y in zip(ca, cb)])
+                rest[a, b] = layout.position(_from_counts(ca - cb))
+    for table in (product, binom, rest):
+        table.flags.writeable = False
+    return ShiftTables(product, binom, rest)
+
+
+def shift_matrices(layout: BasisLayout, delta) -> np.ndarray:
+    """T(delta_r) for each row of delta (m, d), shape (m, D, D).
+
+    m(t - delta_r) = T(delta_r) m(t) for the monomial vector m of layout.
+    """
+    tables = shift_tables(layout.d, layout.p)
+    mon = monomials(layout, -np.asarray(delta, dtype=float).T)
+    return tables.binom * mon.T[:, tables.rest]
 
 
 def parse_index(text: str) -> MultiIndex:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,6 +66,8 @@ class SamplingDensity:
     def __post_init__(self):
         if self.kind not in ("uniform", "product-beta", "custom-grid"):
             raise ValueError(f"unknown sampling density kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"density params must be an object, got {self.params!r}")
         if self.kind == "custom-grid":
             for w in self.params["weights"]:
                 w = np.asarray(w, dtype=float)
@@ -74,6 +77,28 @@ class SamplingDensity:
                     raise ValueError(
                         "custom-grid density does not integrate to 1 on [-1/2, 1/2]"
                     )
+
+    def check_axes(self, d: int) -> None:
+        """Raise ValueError unless the parameters give each of d axes its density.
+
+        product-beta needs d finite positive alpha and d such beta;
+        custom-grid needs d weight lists.
+        """
+        if self.kind == "product-beta":
+            for name in ("alpha", "beta"):
+                v = self.params.get(name)
+                if not (
+                    isinstance(v, (list, tuple))
+                    and len(v) == d
+                    and all(_is_positive(x) for x in v)
+                ):
+                    raise ValueError(
+                        f"product-beta {name} must be {d} finite positive numbers, got {v!r}"
+                    )
+        if self.kind == "custom-grid" and len(self.params["weights"]) != d:
+            raise ValueError(
+                f"custom-grid has {len(self.params['weights'])} weight lists, expected {d}"
+            )
 
     def ppf_axis(self, j: int, u: np.ndarray) -> np.ndarray:
         """Inverse CDF of axis j, mapping (0,1) to [-1/2, 1/2]."""
@@ -90,6 +115,13 @@ class SamplingDensity:
         cells = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, k - 1)
         frac = (u - cdf[cells]) / np.maximum(w[cells] / k, 1e-300)
         return (cells + np.clip(frac, 0.0, 1.0)) / k - 0.5
+
+
+def _is_positive(x) -> bool:
+    return (
+        isinstance(x, (int, float)) and not isinstance(x, bool)
+        and math.isfinite(x) and x > 0
+    )
 
 
 def rep_rng(master_seed: int, rep: int) -> np.random.Generator:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +19,11 @@ from .dataset import SpatialDataset
 
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
-# candidate (row, site) pairs per block of fit_many: each (rows x strip)
-# temporary is at most 256 KiB, the monomials and their weighted copy 2D
-# times that. A case-(ii) variance window takes four or five blocks;
-# smaller blocks spend more of each fit on per-call overhead
-BLOCK_PAIRS = 1 << 15
+# multiply-adds (m n k) of one block's moment GEMM, (rows x L) @ (L x (D_2p
+# + D)): OpenBLAS runs a GEMM of at most 65536 * 4 of them on the calling
+# thread, so no block wakes a BLAS worker. A case-(ii) residual fit (9
+# columns) gets about 29 000 candidate pairs a block
+BLOCK_MNK = 1 << 18
 # how far a strip or box reaches past the kernel window on each axis it
 # bounds, in units of A_j: far more than the rounding in a kernel argument,
 # so every site of positive weight lies among its row's candidates
@@ -104,62 +103,14 @@ class FitResult:
         return float(basis.s_factorial(idx) * self.beta_hat[k])
 
 
-class _Strips(NamedTuple):
-    """Candidates of a block of rows: row r's are the L sites from start[r] on."""
-
-    start: np.ndarray
-    L: int
-
-    def gather(self, x: np.ndarray) -> np.ndarray:
-        """Rows x[s:s + L] for each s in start, copied into one (rows, L) array.
-
-        x is contiguous and 1-D; the copy comes from a window view of it.
-        """
-        L = self.L
-        windows = np.ndarray(
-            (x.size - L + 1, L), x.dtype, buffer=x, strides=2 * x.strides
-        )
-        return windows[self.start]
-
-
-class _Box(NamedTuple):
-    """Candidates of one row: the sites at sorted positions pos, ascending."""
-
-    pos: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.pos.size
-
-    def gather(self, x: np.ndarray) -> np.ndarray:
-        """x at the box's positions as one (1, L) row."""
-        return x[self.pos][None]
-
-
 def _reach(dataset: SpatialDataset, kernel: kernels.KernelSpec, h) -> np.ndarray:
     """A_j (h_j C + STRIP_PAD): how far a candidate may lie from A_j z_j on axis j."""
     C = kernel.support_halfwidth
     return dataset.region.sides() * (np.asarray(h) * C + STRIP_PAD)
 
 
-def _strips(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z) -> _Strips:
-    """Candidate sites of each row of Z as one padded block.
-
-    Row r's strip holds the sites with |X_i1 - A_1 z_r1| <= A_1 (h_1 C +
-    STRIP_PAD), a superset of its kernel window. L is the longest strip; a
-    shorter strip is padded with its neighbouring sites, which the kernel
-    weighs zero.
-    """
-    x = dataset.by_first_axis.columns[0]
-    c = dataset.region.sides()[0] * Z[:, 0]
-    r = _reach(dataset, kernel, h)[0]
-    lo = np.searchsorted(x, c - r, side="left")
-    L = int(np.max(np.searchsorted(x, c + r, side="right") - lo, initial=0))
-    return _Strips(np.minimum(lo, dataset.n - L), L)
-
-
-def _box(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z: np.ndarray) -> _Box:
-    """Candidate sites of the one point z: its padded box.
+def _box(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z: np.ndarray) -> np.ndarray:
+    """Candidate sites of the one point z, its padded box, as sorted positions.
 
     The box holds the sites with |X_ij - A_j z_j| <= A_j (h_j C + STRIP_PAD)
     on every axis, a superset of the kernel window: the first-axis strip,
@@ -177,23 +128,22 @@ def _box(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z: np.ndarray) 
         x = srt.columns[j][a:b]
         inside &= x >= lo[j]
         inside &= x <= hi[j]
-    return _Box(a + np.flatnonzero(inside))
+    return a + np.flatnonzero(inside)
 
 
-def _weigh(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z, cand, t=None):
-    """K((X_i - A z) / (A h)) for each row of Z on its candidate sites.
+def _weigh(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z, pos, t=None):
+    """K((X_i - A z) / (A h)) for each row of Z on the sorted sites at pos.
 
-    cand is the block's candidate layout (_Strips or _Box): W[r, k] weighs
-    row r's k-th candidate. The kernel is evaluated axis by axis in place.
-    With t, t[j] receives the monomial argument (X_ij - A_j z_j) / A_j on
-    the same (rows, L) layout.
+    pos is the candidates shared by every row: a slice of the sorted sites,
+    or one row's box positions. W[r, k] weighs row r on the k-th candidate.
+    The kernel is evaluated axis by axis in place. With t, t[j] receives
+    (X_ij - A_j z_j) / A_j on the same (rows, L) layout.
     """
     srt = dataset.by_first_axis
     A = dataset.region.sides()
     W = None
     for j, hj in enumerate(h):
-        u = cand.gather(srt.columns[j])
-        np.subtract(u, (A[j] * Z[:, j])[:, None], out=u)
+        u = np.subtract(srt.columns[j][pos], (A[j] * Z[:, j])[:, None])
         if t is not None:
             np.divide(u, A[j], out=t[j])
         np.divide(u, A[j] * hj, out=u)
@@ -208,10 +158,10 @@ def window(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z):
     The rows come in ascending order of first coordinate.
     """
     Z = np.asarray(z, dtype=float)[None]
-    cand = _box(dataset, kernel, h, Z[0])
-    w = _weigh(dataset, kernel, h, Z, cand)[0]
+    pos = _box(dataset, kernel, h, Z[0])
+    w = _weigh(dataset, kernel, h, Z, pos)[0]
     k = np.flatnonzero(w)
-    return dataset.by_first_axis.order[cand.pos[k]], w[k]
+    return dataset.by_first_axis.order[pos[k]], w[k]
 
 
 def _check_interior(Z: np.ndarray, d: int) -> None:
@@ -249,10 +199,12 @@ def fit_at(dataset: SpatialDataset, config: FitConfig, z) -> FitResult:
 def fit_many(dataset: SpatialDataset, config: FitConfig, Z):
     """Local fits at every row of Z (m, d): coefficients (m, D) and n_eff (m,).
 
-    Row r equals the fit_at coefficients at Z[r], up to rounding. The rows
-    go through in blocks of at most BLOCK_PAIRS candidate (row, site)
-    pairs, so memory stays bounded whatever m is; one batched solve then
-    takes every row's normal equations.
+    Row r equals the fit_at coefficients at Z[r], up to rounding, and its
+    n_eff, ridge and raise decisions are those of fit_at. One row is fit
+    over its box. Several rows go, in order of first coordinate, through
+    blocks whose moment GEMM stays under BLOCK_MNK multiply-adds, so memory
+    stays bounded whatever m is; one batched solve then takes every row's
+    normal equations.
     """
     Z = np.asarray(Z, dtype=float)
     _check_interior(Z, config.d)
@@ -260,113 +212,183 @@ def fit_many(dataset: SpatialDataset, config: FitConfig, Z):
 
 
 def _fit_rows(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
-    """fit_many's coefficients and n_eff, for rows already checked."""
-    D = config.layout().D
-    XWX = np.empty((len(Z), D, D))
-    XWY = np.empty((len(Z), D))
-    n_eff = np.empty(len(Z), dtype=np.int64)
-    for rows, cand in _blocks(dataset, config, Z):
-        n_eff[rows] = _fit_block(dataset, config, Z[rows], cand, XWX[rows], XWY[rows])
-    return _solve_stack(XWX, XWY), n_eff
+    """fit_many's coefficients and n_eff, for rows already checked.
 
-
-def _blocks(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
-    """(rows, candidates) of each block of fit_many: a slice of Z and its layout.
-
-    One row scans its box, a share prod_j 2 h_j C of the region. Several
-    rows scan padded first-axis strips, a share 2 h_1 C each: one window
-    view gathers a whole block of strips, where boxes would need a gather
-    per row or padding to the longest box, and boxes shared by a tile of
-    rows took more CPU than strips on residual fits.
+    A row of several whose system the condition certificate cannot clear is
+    rebuilt over its box, as fit_at builds it, before the SVD rule decides:
+    so every ridge and raise decision, and the coefficients of every row
+    that takes the ridge, are those of its single fit.
     """
-    kernel, h = config.kernel, config.h
     if len(Z) == 1:
-        yield slice(0, 1), _box(dataset, kernel, h, Z[0])
-        return
-    step = max(1, BLOCK_PAIRS // max(1, _strips(dataset, kernel, h, Z).L))
-    for s in range(0, len(Z), step):
-        rows = slice(s, s + step)
-        yield rows, _strips(dataset, kernel, h, Z[rows])
+        XWX, XWY, n_eff = _fit_box(dataset, config, Z[0])
+        _check_counts(config, Z, n_eff)
+        return _solve_stack(XWX, XWY), n_eff
+    mu = np.empty((len(Z), _moment_columns(config)))
+    delta = np.empty_like(Z)
+    n_eff = np.empty(len(Z), dtype=np.int64)
+    order = np.argsort(Z[:, 0], kind="stable")
+    for rows, pos in _blocks(dataset, config, Z[order]):
+        r = order[rows]
+        mu[r], delta[r], n_eff[r] = _block_moments(dataset, config, Z[r], pos)
+    _check_counts(config, Z, n_eff)
+    XWX, XWY = _shift_moments(config, mu, delta)
+    cleared = _well_conditioned(XWX)
+    for r in np.flatnonzero(~cleared):
+        XWX_r, XWY_r, _ = _fit_box(dataset, config, Z[r])
+        XWX[r], XWY[r] = XWX_r[0], XWY_r[0]
+    return _solve_stack(XWX, XWY, cleared), n_eff
 
 
-def _fit_block(dataset: SpatialDataset, config: FitConfig, Z, cand, XWX, XWY):
-    """Normal equations of each row of Z on its candidate sites, into XWX and XWY.
-
-    cand is the block's candidate layout (_Strips or _Box), one (rows x L)
-    block. X'WX and X'WY of every row are one batched matmul each. Returns
-    each row's count of positive weights; a row with fewer than D raises
-    NoLocalData.
-    """
-    layout = config.layout()
-    D = layout.D
-    # X and X * W share one allocation, the block's largest: glibc raises its
-    # mmap threshold to the largest block freed and trims the heap only above
-    # twice that, so the next block reuses these pages instead of faulting
-    # them in again
-    XXw = np.empty((len(Z), 2, D, cand.L))
-    X, Xw = XXw[:, 0], XXw[:, 1]
-    # monomials of t = (X_i - A z) / A, one row per basis index: the first
-    # order rows come from the weight pass, every other index is its prefix
-    # times one more axis
-    X[:, 0] = 1.0
-    t = [X[:, layout.position((j + 1,))] for j in range(config.d)] if layout.p else None
-    W = _weigh(dataset, config.kernel, config.h, Z, cand, t)
-    counts = np.count_nonzero(W, axis=1)
-    short = counts < D
+def _check_counts(config: FitConfig, Z: np.ndarray, n_eff: np.ndarray) -> None:
+    """Raise NoLocalData for the first row with fewer positive weights than D."""
+    D = config.layout().D
+    short = n_eff < D
     if short.any():
         r = short.argmax()
         raise NoLocalData(
-            f"{counts[r]} sites in the kernel window at z={Z[r]}, need >= {D}"
+            f"{n_eff[r]} sites in the kernel window at z={Z[r]}, need >= {D}"
         )
-    for k, idx in enumerate(layout.indices[1:], start=1):
-        if len(idx) > 1:
-            np.multiply(X[:, layout.position(idx[:-1])], t[idx[-1] - 1], out=X[:, k])
+
+
+def _blocks(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
+    """(rows, pos) of each block of Z, whose rows ascend in first coordinate.
+
+    Row r's strip holds the sites with |X_i1 - A_1 z_r1| <= A_1 (h_1 C +
+    STRIP_PAD), a superset of its kernel window. A block is a run of rows
+    whose strips overlap; its candidates pos are the union of their strips,
+    one slice of the sorted sites, with no gather and no padding. A run ends
+    before its moment GEMM, rows x L x (D_2p + D), would pass BLOCK_MNK,
+    unless it is one row.
+    """
+    x = dataset.by_first_axis.columns[0]
+    c = dataset.region.sides()[0] * Z[:, 0]
+    r = _reach(dataset, config.kernel, config.h)[0]
+    lo = np.searchsorted(x, c - r, side="left")
+    hi = np.searchsorted(x, c + r, side="right")
+    cols = _moment_columns(config)
+    lo, hi = lo.tolist(), hi.tolist()
+    s = 0
+    for e in range(1, len(Z)):
+        # rows s..e scan lo[s]..hi[e], as hi ascends
+        if lo[e] > hi[e - 1] or (e - s + 1) * (hi[e] - lo[s]) * cols > BLOCK_MNK:
+            yield slice(s, e), slice(lo[s], hi[e - 1])
+            s = e
+    if len(Z):
+        yield slice(s, len(Z)), slice(lo[s], hi[-1])
+
+
+def _fit_box(dataset: SpatialDataset, config: FitConfig, z: np.ndarray):
+    """Normal equations of the one point z over its padded box.
+
+    Returns X'WX (1, D, D), X'WY (1, D) and the count of positive weights
+    (1,), each one matmul over the box's monomials of t = (X_i - A z) / A.
+    """
+    layout = config.layout()
+    pos = _box(dataset, config.kernel, config.h, z)
+    # X and X * W share one allocation, the fit's largest: glibc raises its
+    # mmap threshold to the largest block freed and trims the heap only above
+    # twice that, so the next fit reuses these pages instead of faulting them
+    # in again
+    XXw = np.empty((1, 2, layout.D, pos.size))
+    X, Xw = XXw[:, 0], XXw[:, 1]
+    # mono[k] is basis index k: the weight pass writes the first-order rows
+    mono = X.transpose(1, 0, 2)
+    W = _weigh(dataset, config.kernel, config.h, z[None], pos, mono[1:config.d + 1])
+    basis.fill_monomials(layout, mono)
     np.multiply(X, W[:, None, :], out=Xw)
-    y = cand.gather(dataset.by_first_axis.responses)
-    XWX[...] = np.matmul(X, Xw.transpose(0, 2, 1))
-    XWY[...] = np.matmul(Xw, y[..., None])[..., 0]
-    return counts
+    y = dataset.by_first_axis.responses[pos][None]
+    XWX = np.matmul(X, Xw.transpose(0, 2, 1))
+    XWY = np.matmul(Xw, y[..., None])[..., 0]
+    return XWX, XWY, np.count_nonzero(W, axis=1)
 
 
-def _solve_stack(XWX: np.ndarray, XWY: np.ndarray) -> np.ndarray:
+def _moment_columns(config: FitConfig) -> int:
+    """Columns of a block's moment GEMM: m(t') to order 2p, then Y m(t') to order p."""
+    return _layout_cached(config.d, 2 * config.p).D + config.layout().D
+
+
+def _block_moments(dataset: SpatialDataset, config: FitConfig, Z, pos: slice):
+    """Moments of each row of Z over the sorted sites in the slice pos.
+
+    They are taken about the block's centre c0, the midpoint of its rows: with
+    t' = (X_i - A c0) / A, one GEMM of the weights (rows x L) with the
+    monomials m(t') up to order 2p and with Y_i m(t') up to order p gives
+    each row's sums of W_i m_a(t') and of W_i Y_i m_a(t'), in the order-2p
+    layout and then the order-p one. Returns them (rows, D_2p + D), each
+    row's offset Z - c0 and its count of positive weights.
+    """
+    double = _layout_cached(config.d, 2 * config.p)
+    srt = dataset.by_first_axis
+    A = dataset.region.sides()
+    c0 = (Z.min(axis=0) + Z.max(axis=0)) / 2.0
+    W = _weigh(dataset, config.kernel, config.h, Z, pos)
+    M = np.empty((_moment_columns(config), W.shape[1]))
+    for j in range(config.d):
+        np.subtract(srt.columns[j][pos], A[j] * c0[j], out=M[j + 1])
+        M[j + 1] /= A[j]
+    basis.fill_monomials(double, M[:double.D])
+    np.multiply(M[:config.layout().D], srt.responses[pos], out=M[double.D:])
+    return W @ M.T, Z - c0, np.count_nonzero(W, axis=1)
+
+
+def _shift_moments(config: FitConfig, mu: np.ndarray, delta: np.ndarray):
+    """Each row's X'WX and X'WY from its moments mu about z_r - delta_r.
+
+    With T = T(delta_r), m(t) = T m(t') for t = t' - delta_r, so
+    X'WX = T G T' with G[a, b] the moment of the index a + b, and
+    X'WY = T g.
+    """
+    tables = basis.shift_tables(config.d, config.p)
+    T = basis.shift_matrices(config.layout(), delta)
+    g = mu[:, -config.layout().D:, None]
+    return T @ mu[:, tables.product] @ T.transpose(0, 2, 1), (T @ g)[..., 0]
+
+
+def _solve_stack(XWX: np.ndarray, XWY: np.ndarray, cleared=None) -> np.ndarray:
     """Solve a stack of normal equations in one batched LU solve.
 
     A row over COND_LIMIT (2-norm condition) gets the ridge
     RIDGE_SCALE * trace(X'WX) added to its diagonal, in place: the rescue for
     ill-conditioned full-rank systems. A row singular to working precision is
-    a data problem, not a scaling one, and raises RankDeficient. The
-    conditions come from an SVD of every row, unless _well_conditioned
-    clears the whole stack first.
+    a data problem, not a scaling one, and raises RankDeficient. Each row's
+    condition comes from its SVD unless _well_conditioned clears it; cleared
+    is that mask when the caller already has it.
     """
-    if not _well_conditioned(XWX):
-        cond = np.linalg.cond(XWX)
+    if cleared is None:
+        cleared = _well_conditioned(XWX)
+    rest = np.flatnonzero(~cleared)
+    if rest.size:
+        cond = np.linalg.cond(XWX[rest])
         singular = ~(cond <= 1.0 / np.finfo(float).eps)  # nan is singular too
         if singular.any():
             c = cond[singular.argmax()]
             raise RankDeficient(f"normal equations numerically singular (cond {c:.3g})")
-        ill = cond > COND_LIMIT
-        if ill.any():
+        ill = rest[cond > COND_LIMIT]
+        if ill.size:
             tr = np.trace(XWX[ill], axis1=1, axis2=2)
             XWX[ill] += RIDGE_SCALE * tr[:, None, None] * np.eye(XWX.shape[1])
     return np.linalg.solve(XWX, XWY[..., None])[..., 0]
 
 
-def _well_conditioned(XWX: np.ndarray) -> bool:
-    """Whether every row's 2-norm condition is surely under COND_LIMIT.
+def _well_conditioned(XWX: np.ndarray) -> np.ndarray:
+    """Which rows' 2-norm condition is surely under COND_LIMIT.
 
     For any invertible A, cond(A) <= ||A||_F ||A^{-1}||_F (compared here
     squared). Up to cond 1e12 the computed inverse, and the SVD's smallest singular
     value, are within a relative 1e-4 of exact, so a row whose computed
     bound is under COND_LIMIT / 2 gets the SVD's decision: no ridge, no
     raise. A bound that is larger or not finite, or a row that inv finds
-    singular, decides nothing.
+    singular, decides nothing for its row. A stack with a singular row is
+    taken one row at a time, so the other rows are still cleared.
     """
     try:
         inv = np.linalg.inv(XWX)
     except np.linalg.LinAlgError:
-        return False
+        if len(XWX) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_well_conditioned(A[None]) for A in XWX])
     bound2 = np.einsum("rij,rij->r", XWX, XWX) * np.einsum("rij,rij->r", inv, inv)
-    return bool((bound2 < (COND_LIMIT / 2) ** 2).all())
+    return bound2 < (COND_LIMIT / 2) ** 2
 
 
 def estimate_bias(dataset: SpatialDataset, config: FitConfig, z) -> np.ndarray:

@@ -187,7 +187,13 @@ class ExperimentSpec:
         for hs in (self.fit_h, self.pilot_h, self.variance_h, self.taper_b):
             if hs is not None and any(v <= 0 for v in hs):
                 raise ValueError("bandwidths and taper widths must be positive")
-        make_mean_function(self.mean)  # a bad expression fails before any replication
+        self.density.check_axes(d)
+        # a bad expression, or one naming an axis beyond d, fails before any replication
+        with np.errstate(all="ignore"):
+            try:
+                make_mean_function(self.mean)(np.zeros((1, d)))
+            except ArithmeticError as exc:
+                raise ValueError(f"mean expression {self.mean!r} fails: {exc}")
 
     @classmethod
     def from_config(cls, cfg, master_seed=None) -> "ExperimentSpec":

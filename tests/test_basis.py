@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatial_lp import basis
 
@@ -107,3 +109,51 @@ def test_parse_index():
     assert basis.parse_index("112") == (1, 1, 2)
     with pytest.raises(ValueError):
         basis.parse_index("1a")
+
+
+@st.composite
+def _points(draw, rows):
+    """d, p, and `rows` points in [-1, 1]^d, drawn from a seed."""
+    d, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return d, p, rng.uniform(-1.0, 1.0, (rows, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points(rows=2))
+def test_monomials_match_the_scalar_monomial(case):
+    d, p, t = case
+    layout = basis.build_layout(d, p)
+    got = basis.monomials(layout, t.T)
+    for k, idx in enumerate(layout.indices):
+        for i, v in enumerate(t):
+            assert got[k, i] == pytest.approx(basis.monomial(idx, v), rel=1e-15, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points(rows=6))
+def test_shift_matrix_moves_the_monomials(case):
+    """m(t - delta) = T(delta) m(t), for each of 3 shifts of 3 points."""
+    d, p, pts = case
+    layout = basis.build_layout(d, p)
+    t, delta = pts[:3], pts[3:]
+    T = basis.shift_matrices(layout, delta)
+    assert T.shape == (3, layout.D, layout.D)
+    m = basis.monomials(layout, t.T)
+    for r in range(3):
+        shifted = basis.monomials(layout, (t - delta[r]).T)
+        np.testing.assert_allclose(T[r] @ m, shifted, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points(rows=4))
+def test_product_table_multiplies_monomials(case):
+    """m_a(t) m_b(t) = m_{a + b}(t), a + b read in the order-2p layout."""
+    d, p, t = case
+    layout, double = basis.build_layout(d, p), basis.build_layout(d, 2 * p)
+    product = basis.shift_tables(d, p).product
+    m, m2 = basis.monomials(layout, t.T), basis.monomials(double, t.T)
+    np.testing.assert_allclose(m2[product], m[:, None] * m[None], rtol=1e-14, atol=0)
+    for a, ia in enumerate(layout.indices):
+        for b, ib in enumerate(layout.indices):
+            assert double.indices[product[a, b]] == tuple(sorted(ia + ib))

@@ -315,19 +315,47 @@ def test_two_sample_region_mismatch(tmp_path, capsys):
     assert "region" in capsys.readouterr().err
 
 
+def _beta(alpha, beta):
+    return {"density": {"kind": "product-beta", "params": {"alpha": alpha, "beta": beta}}}
+
+
 @pytest.mark.parametrize("command", ["simulate", "mc"])
 @pytest.mark.parametrize(
     "section, named",
     [({"error": {"kind": "matern"}}, "matern"), ({"error": "car1"}, "error"),
-     ({"density": ["uniform"]}, "density")],
+     ({"density": ["uniform"]}, "density"),
+     (_beta([2.0], [2.0, 2.0]), "alpha"), (_beta([2.0, 2.0], [2.0, -1.0]), "beta"),
+     (_beta([2.0, float("inf")], [2.0, 2.0]), "alpha"), (_beta([2.0, 2.0], None), "beta"),
+     ({"density": {"kind": "product-beta", "params": [1]}}, "params"),
+     ({"density": {"kind": "custom-grid", "params": {"weights": [[1.0, 1.0]]}}},
+      "weight")],
 )
-def test_bad_error_or_density_is_rejected(tmp_path, capsys, command, section, named):
+def test_bad_error_or_density_is_rejected(
+    tmp_path, capsys, monkeypatch, command, section, named
+):
+    """One stderr line and rc 1, before any site is drawn."""
+    monkeypatch.setattr(
+        cli, "generate_sites", lambda *a: pytest.fail("sites were drawn")
+    )
+    monkeypatch.setattr(mc, "run_replication", lambda *a: pytest.fail("a replication ran"))
     payload = {"n": 50, "A": [10.0, 10.0], **section}
     if command == "mc":
         payload["reps"] = 2
     cfg = _write(tmp_path / "cfg.json", payload)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mean", ["x3", "1/0"])
+def test_mc_mean_fails_before_any_replication(tmp_path, capsys, monkeypatch, mean):
+    """A mean naming an axis beyond d, or one that cannot be evaluated, is rc 1."""
+    monkeypatch.setattr(mc, "run_replication", lambda *a: pytest.fail("a replication ran"))
+    cfg = _write(tmp_path / "cfg.json", {"reps": 2, "n": 50, "A": [10.0, 10.0], "mean": mean})
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert mean in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

@@ -247,12 +247,14 @@ def test_one_row_fits_make_few_page_faults():
 # --- batched fits: properties at random (d, p, Z) ---------------------------
 
 PROPERTY = settings(max_examples=30, deadline=None)
+# largest relative gap of order-3 multi-row fits from their single fits
+ORDER_3_BOUND = 1e-11
 
 
 @st.composite
-def _batches(draw, lo=-0.3, hi=0.3):
+def _batches(draw, lo=-0.3, hi=0.3, orders=(1, 2)):
     d = draw(st.integers(1, 3))
-    p = draw(st.integers(1, 2))
+    p = draw(st.sampled_from(orders))
     m = draw(st.integers(1, 7))
     coord = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
     Z = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
@@ -264,30 +266,77 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-@PROPERTY
-@given(_batches(), st.integers(1, 4))
-def test_fit_many_equals_stacked_single_fits(batch, block_rows):
+def _gemm_columns(config):
+    """Columns of a block's moment GEMM: the monomials to order 2p, then Y times those to p."""
+    return basis.build_layout(config.d, 2 * config.p).D + config.layout().D
+
+
+def _fit_many_by_block(data, config, Z, budget):
+    """fit_many under a BLOCK_MNK of budget, and each block's (rows, candidate slice)."""
+    blocks = []
+    block_moments = lpfit._block_moments
+
+    def recording_block_moments(dataset, config, Zb, pos):
+        blocks.append((Zb.copy(), pos))
+        return block_moments(dataset, config, Zb, pos)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpfit, "BLOCK_MNK", budget)
+        mp.setattr(lpfit, "_block_moments", recording_block_moments)
+        beta, n_eff = lpfit.fit_many(data, config, Z)
+    return beta, n_eff, blocks
+
+
+def _assert_equals_stacked_single_fits(batch, block_rows, bound):
     d, p, Z, seed = batch
     rng = np.random.default_rng(seed)
     data = _uniform_dataset(d, 400, seed, lambda u: rng.standard_normal(len(u)))
     config = _config(d, p, 0.3)
-    _, L = lpfit._strips(data, config.kernel, config.h, Z)
-    blocks = []
-    fit_block = lpfit._fit_block
-
-    def counting_fit_block(dataset, config, Zb, *layout_and_out):
-        blocks.append(len(Zb))
-        return fit_block(dataset, config, Zb, *layout_and_out)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lpfit, "BLOCK_PAIRS", block_rows * L)
-        mp.setattr(lpfit, "_fit_block", counting_fit_block)
-        beta, n_eff = lpfit.fit_many(data, config, Z)
+    budget = block_rows * data.n * _gemm_columns(config)
+    beta, n_eff, blocks = _fit_many_by_block(data, config, Z, budget)
     m = len(Z)
-    assert blocks == [min(block_rows, m - s) for s in range(0, m, block_rows)]
+    if m == 1:
+        assert blocks == []
+    else:
+        # the blocks take every row once, in order of first coordinate, each
+        # one row or a GEMM within the budget
+        by_x1 = Z[np.argsort(Z[:, 0], kind="stable")]
+        assert np.concatenate([Zb for Zb, _ in blocks]).tobytes() == by_x1.tobytes()
+        for Zb, pos in blocks:
+            gemm = len(Zb) * (pos.stop - pos.start) * _gemm_columns(config)
+            assert len(Zb) == 1 or gemm <= budget
     single = [lpfit.fit_at(data, config, z) for z in Z]
-    assert _rel_err(beta, np.stack([f.beta_hat for f in single])) <= 1e-12
+    assert _rel_err(beta, np.stack([f.beta_hat for f in single])) <= bound
     assert n_eff.tolist() == [f.n_eff for f in single]
+
+
+@PROPERTY
+@given(_batches(), st.integers(1, 4))
+def test_fit_many_equals_stacked_single_fits(batch, block_rows):
+    _assert_equals_stacked_single_fits(batch, block_rows, 1e-12)
+
+
+@PROPERTY
+@given(_batches(orders=(3,)), st.integers(1, 4))
+def test_order_3_fit_many_equals_stacked_single_fits(batch, block_rows):
+    """The moments reach order 6 and their shift to each row loses more digits."""
+    _assert_equals_stacked_single_fits(batch, block_rows, ORDER_3_BOUND)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_no_block_gemm_passes_the_budget(d, p):
+    """Every block's moment GEMM, rows x L x (D_2p + D), is at most BLOCK_MNK
+    multiply-adds, which OpenBLAS runs on the calling thread."""
+    assert lpfit.BLOCK_MNK <= 65536 * 4
+    rng = np.random.default_rng(10 * d + p)
+    data = _uniform_dataset(d, 2000, 10 * d + p, lambda u: rng.standard_normal(len(u)))
+    config = _config(d, p, 0.3)
+    Z = rng.uniform(-0.2, 0.2, (60, d))
+    _, _, blocks = _fit_many_by_block(data, config, Z, lpfit.BLOCK_MNK)
+    assert len(blocks) > 1 and sum(len(Zb) for Zb, _ in blocks) == len(Z)
+    for Zb, pos in blocks:
+        assert len(Zb) * (pos.stop - pos.start) * _gemm_columns(config) <= lpfit.BLOCK_MNK
 
 
 @st.composite
@@ -359,26 +408,34 @@ def test_window_weights_equal_the_dense_kernel(case):
     data = SpatialDataset(region=region, sites=sites, responses=np.zeros(len(sites)))
 
     order = data.by_first_axis.order
-    # several rows: one padded block of first-axis strips
-    strips = lpfit._strips(data, kern, h, Z)
-    W = lpfit._weigh(data, kern, h, Z, strips)
+    # several rows: blocks in order of first coordinate, each weighing the
+    # union of its rows' first-axis strips
+    by_x1 = np.argsort(Z[:, 0], kind="stable")
+    blocks = {}
+    config = lpfit.FitConfig(p=1, kernel=kern, h=h)
+    for rows, pos in lpfit._blocks(data, config, Z[by_x1]):
+        W = lpfit._weigh(data, kern, h, Z[by_x1[rows]], pos)
+        for r, w_r in zip(by_x1[rows], W):
+            blocks[r] = (order[pos], w_r)
+    assert sorted(blocks) == list(range(len(Z)))
     for r, z in enumerate(Z):
         dense = 1.0
         for j in range(d):
             u = (data.sites[:, j] - Av[j] * z[j]) / (Av[j] * hv[j])
             dense = dense * kernels.eval_kernel_axis(kern, u)
         expected = np.flatnonzero(dense > 0.0)
-        k = np.flatnonzero(W[r] > 0.0)
+        block_rows, w_r = blocks[r]
+        k = np.flatnonzero(w_r > 0.0)
         # one row: its box, as fit_at, the pilot and window take it
         box = lpfit._box(data, kern, h, z)
-        assert (np.diff(box.pos) > 0).all()
+        assert (np.diff(box) > 0).all()
         w_box = lpfit._weigh(data, kern, h, z[None], box)[0]
         kb = np.flatnonzero(w_box > 0.0)
         rows, w = lpfit.window(data, kern, h, z)
         assert (np.diff(data.sites[rows, 0]) >= 0.0).all()
         for got_rows, got_w in (
-            (order[strips.start[r] + k], W[r, k]),
-            (order[box.pos[kb]], w_box[kb]),
+            (block_rows[k], w_r[k]),
+            (order[box[kb]], w_box[kb]),
             (rows, w),
         ):
             by_row = np.argsort(got_rows)
@@ -507,16 +564,46 @@ def test_short_row_raises_before_any_solve(monkeypatch):
     solves = []
     solve_stack = lpfit._solve_stack
 
-    def recording_solve_stack(XWX, XWY):
+    def recording_solve_stack(XWX, XWY, *cleared):
         solves.append(len(XWX))
-        return solve_stack(XWX, XWY)
+        return solve_stack(XWX, XWY, *cleared)
 
     monkeypatch.setattr(lpfit, "_solve_stack", recording_solve_stack)
-    monkeypatch.setattr(lpfit, "BLOCK_PAIRS", 1)
+    monkeypatch.setattr(lpfit, "BLOCK_MNK", 1)
     Z = np.array([[-0.3, 0.0], [0.4, 0.4], [-0.2, 0.1], [0.2, 0.2]])
     with pytest.raises(lpfit.NoLocalData, match=r"at z=\[0.2 0.2\], need >= 3"):
         lpfit.fit_many(data, config, Z)
     assert solves == []
+
+
+def test_singular_row_alone_is_rebuilt_before_it_raises(monkeypatch):
+    """D coincident sites make one window of a batch exactly singular.
+
+    The certificate's batched inverse fails on that row; the other rows are
+    still cleared one at a time, so only the singular row is rebuilt over its
+    box before it raises RankDeficient, as its single fit does.
+    """
+    rng = np.random.default_rng(3)
+    A = 10.0
+    left = rng.uniform(-A / 2, A / 2, (2000, 2))
+    left[:, 0] = -np.abs(left[:, 0])
+    sites = np.vstack([left, np.full((3, 2), 0.4 * A)])
+    data = SpatialDataset(
+        region=Region(A=(A, A)), sites=sites, responses=rng.standard_normal(len(sites))
+    )
+    config = _config(2, 1, 0.15)
+    Z = np.vstack([rng.uniform(-0.4, -0.2, (40, 2)), [[0.4, 0.4]]])
+    rebuilt = []
+    fit_box = lpfit._fit_box
+
+    def recording_fit_box(dataset, config, z):
+        rebuilt.append(z.tolist())
+        return fit_box(dataset, config, z)
+
+    monkeypatch.setattr(lpfit, "_fit_box", recording_fit_box)
+    with pytest.raises(lpfit.RankDeficient):
+        lpfit.fit_many(data, config, Z)
+    assert rebuilt == [[0.4, 0.4]]
 
 
 def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
@@ -524,7 +611,7 @@ def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
 
     Only that row of the batch is solved with the ridge
     RIDGE_SCALE * trace(X'WX) on its diagonal, every other row without one,
-    and every row matches its single fit.
+    and every row matches its single fit: the ridge row bit for bit.
     """
     rng = np.random.default_rng(8)
     A = 10.0
@@ -545,9 +632,9 @@ def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
     systems = []
     solve_stack = lpfit._solve_stack
 
-    def recording_solve_stack(XWX, XWY):
+    def recording_solve_stack(XWX, XWY, *cleared):
         systems.append((XWX.copy(), XWY.copy()))
-        return solve_stack(XWX, XWY)
+        return solve_stack(XWX, XWY, *cleared)
 
     monkeypatch.setattr(lpfit, "_solve_stack", recording_solve_stack)
     beta, _ = lpfit.fit_many(data, config, Z)
@@ -561,6 +648,8 @@ def test_ill_conditioned_row_alone_takes_the_ridge_rescue(monkeypatch):
         expected = np.linalg.solve(XWX[r] + ridge * np.eye(3), XWY[r])
         assert _rel_err(beta[r], expected) <= 1e-12
     assert _rel_err(beta, single) <= 1e-12
+    # the ill row's system is rebuilt over its box, as its single fit builds it
+    assert beta[1].tobytes() == single[1].tobytes()
 
 
 def _svd_rule(XWX, XWY):
