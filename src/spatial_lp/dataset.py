@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betaincinv
 
 GENERATOR_ID = "numpy-pcg64-seedseq-v1"
 
@@ -105,6 +104,8 @@ class SamplingDensity:
         if self.kind == "uniform":
             return u - 0.5
         if self.kind == "product-beta":
+            from scipy.special import betaincinv
+
             a = self.params["alpha"][j]
             b = self.params["beta"][j]
             return betaincinv(a, b, u) - 0.5

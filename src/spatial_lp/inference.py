@@ -2,20 +2,27 @@
 
 The long-run variance factor is estimated by a Bartlett-tapered double sum
 over residual products, restricted to site pairs inside the kernel window
-(all other terms vanish identically).
+and, among those, to pairs within the taper's first-axis reach (all other
+terms vanish identically).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import kernels, lpfit
 from .dataset import SpatialDataset
 from .lpfit import FitConfig, FitError, FitResult, derivative_bias, derivative_variance
+
+
+# site pairs per block of the tapered sum: its taper values and one axis's
+# squares, 256 KiB each
+TAPER_PAIRS = 1 << 15
 
 
 class DegenerateWindow(FitError):
@@ -23,11 +30,11 @@ class DegenerateWindow(FitError):
 
 
 def normal_quantile(u: float) -> float:
-    return float(ndtri(u))
+    return NormalDist().inv_cdf(u)
 
 
 def normal_cdf(x: float) -> float:
-    return float(ndtr(x))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 @dataclass
@@ -72,15 +79,73 @@ def _window(dataset: SpatialDataset, config: FitConfig, z, mhat):
 def _long_run_variance(windows, config: FitConfig, taper, An) -> float:
     """A_n / (h_1...h_d kappa_0^(2)) sum_{a,b} u_a' Kbar(X_a, X_b) u_b.
 
-    windows holds one (X_a, u_a) per sample. The taper is symmetric, so each
-    pair a < b is evaluated once, as one m_a x m_b block, and counted twice.
+    windows holds one (X_a, u_a) per sample, its rows ascending in first
+    coordinate. The taper is symmetric, so each pair of samples a < b, and
+    each pair of sites within a sample, is evaluated once and counted twice.
+    Every block of taper values lives in one buffer of at most TAPER_PAIRS
+    pairs, so memory stays bounded whatever the window sizes.
     """
+    m = max(len(u) for _, u in windows)
+    # a block holds at least one row, whose strip has at most m columns
+    buf = np.empty((2, min(max(TAPER_PAIRS, m), m * m)))
     s = 0.0
     for a, (Xa, ua) in enumerate(windows):
         for b, (Xb, ub) in enumerate(windows[a:], start=a):
-            term = float(ua @ kernels.eval_taper_pairs(taper, Xa, Xb) @ ub)
+            term = _taper_sum(taper, Xa, ua, Xb, ub, a == b, buf)
             s += term if a == b else 2.0 * term
     return An / (float(np.prod(config.h)) * kernels.kappa0_r2(config.kernel)) * s
+
+
+def _taper_sum(taper, X, u, Y, v, same: bool, buf: np.ndarray) -> float:
+    """u' Kbar(X, Y) v over the pairs the taper can weigh, in row blocks.
+
+    The taper vanishes once |X_i1 - Y_j1| >= b_1, and the rows of X and Y
+    ascend in first coordinate, so row i meets only the columns of its
+    first-axis strip; a block of rows meets the union of their strips. A
+    block ends before rows x strip would pass the buffer's pairs. With same
+    (X is Y and u is v), a block of rows r0..r1-1 takes only the columns
+    from r0 on and counts those from r1 on twice, so each unordered pair is
+    evaluated once.
+    """
+    b1 = taper.widths[0]
+    x, y = X[:, 0] / b1, Y[:, 0] / b1
+    # one b_1 plus STRIP_PAD: far more than the rounding in a scaled
+    # difference, so every pair of positive weight lies in its row's strip
+    lo = np.searchsorted(y, x - (1.0 + lpfit.STRIP_PAD), side="left")
+    hi = np.searchsorted(y, x + (1.0 + lpfit.STRIP_PAD), side="right")
+    if same:
+        lo = np.maximum(lo, np.arange(len(x)))
+    s = 0.0
+    for r0, r1, c0, c1 in _row_blocks(lo, hi, buf.shape[1]):
+        shape = (r1 - r0, c1 - c0)
+        K = kernels.eval_taper_pairs(
+            taper, X[r0:r1], Y[c0:c1],
+            out=buf[0, : shape[0] * shape[1]].reshape(shape),
+            work=buf[1, : shape[0] * shape[1]].reshape(shape),
+        )
+        if same:
+            Kv = K[:, : shape[0]] @ v[r0:r1]
+            Kv += K[:, shape[0]:] @ (2.0 * v[r1:c1])
+        else:
+            Kv = K @ v[c0:c1]
+        s += float(u[r0:r1] @ Kv)
+    return s
+
+
+def _row_blocks(lo: np.ndarray, hi: np.ndarray, pairs: int):
+    """(r0, r1, c0, c1) of each block: rows r0..r1-1 and columns c0..c1-1.
+
+    Row i's strip is columns lo[i]..hi[i]-1, both ends ascending in i. A
+    block is a run of rows with the union of their strips, cut before rows x
+    columns would pass pairs, unless it is one row.
+    """
+    s = 0
+    while s < len(lo):
+        # rows s..e-1 meet columns lo[s]..hi[e-1]-1: a count that grows with e
+        cost = np.arange(1, len(lo) - s + 1) * (hi[s:] - lo[s])
+        e = s + max(1, int(np.searchsorted(cost, pairs, side="right")))
+        yield s, e, int(lo[s]), int(hi[e - 1])
+        s = e
 
 
 def variance_hat(

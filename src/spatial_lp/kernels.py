@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.spatial.distance import cdist
 
 FAMILIES = ("product-triangular", "product-epanechnikov", "product-uniform")
 
@@ -95,10 +93,36 @@ def eval_kernel_many(spec: KernelSpec, V: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_taper_pairs(spec: TaperSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Kbar(X_i - Y_j) for every row pair of X (m1, d) and Y (m2, d)."""
+def eval_taper_pairs(
+    spec: TaperSpec,
+    X: np.ndarray,
+    Y: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Kbar(X_i - Y_j) = max(0, 1 - ||(X_i - Y_j) / b||) for every row pair.
+
+    X is (m1, d) and Y (m2, d). The squared differences of X / b and Y / b
+    are summed in axis order before the square root, as scipy's euclidean
+    cdist sums them, so the distances are cdist's to the bit. The result is
+    written to out, and work takes the squares of each axis past the first;
+    both are (m1, m2) arrays, allocated when None.
+    """
     b = np.asarray(spec.widths, dtype=float)
-    K = cdist(X / b, Y / b)
+    Xb, Yb = X / b, Y / b
+    # x_i - y_j as the GEMM [x_i, 1] @ [1, -y_j]': both products are exact,
+    # so its one rounding is the subtraction's. With inner dimension 2 it
+    # outruns a broadcast subtract, and up to 2^17 pairs it is under the
+    # size at which OpenBLAS wakes a worker thread
+    left, right = np.ones((len(Xb), 2)), np.ones((2, len(Yb)))
+    K = None
+    for j in range(len(b)):
+        left[:, 0] = Xb[:, j]
+        np.negative(Yb[:, j], out=right[1])
+        D = np.matmul(left, right, out=out if K is None else work)
+        np.multiply(D, D, out=D)
+        K = D if K is None else np.add(K, D, out=K)
+    np.sqrt(K, out=K)
     np.subtract(1.0, K, out=K)
     return np.maximum(K, 0.0, out=K)
 
@@ -111,8 +135,10 @@ def _base_moment_1d(family: str, a: int, r: int) -> float:
         # 2 * int_0^1 u^a (1-u)^r du = 2 * B(a+1, r+1)
         return 2.0 * math.factorial(a) * math.factorial(r) / math.factorial(a + r + 1)
     if family == "product-epanechnikov":
-        # substitution t = u^2: (3/4)^r * B((a+1)/2, r+1)
-        return 0.75**r * special.beta((a + 1) / 2.0, r + 1)
+        # substitution t = u^2: (3/4)^r B((a+1)/2, r+1), and for integer r
+        # B(x, r+1) = r! / (x (x+1) ... (x+r))
+        x = (a + 1) / 2.0
+        return 0.75**r * math.factorial(r) / math.prod(x + k for k in range(r + 1))
     if family == "product-uniform":
         return 0.5**r * 2.0 / (a + 1)
     raise ValueError(family)

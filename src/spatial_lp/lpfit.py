@@ -131,19 +131,23 @@ def _box(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z: np.ndarray) 
     return a + np.flatnonzero(inside)
 
 
-def _weigh(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z, pos, t=None):
+def _weigh(
+    dataset: SpatialDataset, kernel: kernels.KernelSpec, h, Z, pos, t=None, out=None
+):
     """K((X_i - A z) / (A h)) for each row of Z on the sorted sites at pos.
 
     pos is the candidates shared by every row: a slice of the sorted sites,
     or one row's box positions. W[r, k] weighs row r on the k-th candidate.
     The kernel is evaluated axis by axis in place. With t, t[j] receives
-    (X_ij - A_j z_j) / A_j on the same (rows, L) layout.
+    (X_ij - A_j z_j) / A_j on the same (rows, L) layout. With out, a (2,
+    rows, L) array, W is out[0] and out[1] takes each further axis's factor.
     """
     srt = dataset.by_first_axis
     A = dataset.region.sides()
     W = None
     for j, hj in enumerate(h):
-        u = np.subtract(srt.columns[j][pos], (A[j] * Z[:, j])[:, None])
+        dst = None if out is None else out[0 if W is None else 1]
+        u = np.subtract(srt.columns[j][pos], (A[j] * Z[:, j])[:, None], out=dst)
         if t is not None:
             np.divide(u, A[j], out=t[j])
         np.divide(u, A[j] * hj, out=u)
@@ -223,13 +227,22 @@ def _fit_rows(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
         XWX, XWY, n_eff = _fit_box(dataset, config, Z[0])
         _check_counts(config, Z, n_eff)
         return _solve_stack(XWX, XWY), n_eff
-    mu = np.empty((len(Z), _moment_columns(config)))
+    cols = _moment_columns(config)
+    mu = np.empty((len(Z), cols))
     delta = np.empty_like(Z)
     n_eff = np.empty(len(Z), dtype=np.int64)
     order = np.argsort(Z[:, 0], kind="stable")
-    for rows, pos in _blocks(dataset, config, Z[order]):
+    blocks = list(_blocks(dataset, config, Z[order]))
+    # one scratch buffer for every block's weights and monomials, sized to the
+    # largest, so no block maps and faults in fresh pages
+    scratch = np.empty(max(
+        ((2 * (rows.stop - rows.start) + cols) * (pos.stop - pos.start)
+         for rows, pos in blocks),
+        default=0,
+    ))
+    for rows, pos in blocks:
         r = order[rows]
-        mu[r], delta[r], n_eff[r] = _block_moments(dataset, config, Z[r], pos)
+        mu[r], delta[r], n_eff[r] = _block_moments(dataset, config, Z[r], pos, scratch)
     _check_counts(config, Z, n_eff)
     XWX, XWY = _shift_moments(config, mu, delta)
     cleared = _well_conditioned(XWX)
@@ -307,7 +320,9 @@ def _moment_columns(config: FitConfig) -> int:
     return _layout_cached(config.d, 2 * config.p).D + config.layout().D
 
 
-def _block_moments(dataset: SpatialDataset, config: FitConfig, Z, pos: slice):
+def _block_moments(
+    dataset: SpatialDataset, config: FitConfig, Z, pos: slice, scratch: np.ndarray
+):
     """Moments of each row of Z over the sorted sites in the slice pos.
 
     They are taken about the block's centre c0, the midpoint of its rows: with
@@ -315,14 +330,19 @@ def _block_moments(dataset: SpatialDataset, config: FitConfig, Z, pos: slice):
     monomials m(t') up to order 2p and with Y_i m(t') up to order p gives
     each row's sums of W_i m_a(t') and of W_i Y_i m_a(t'), in the order-2p
     layout and then the order-p one. Returns them (rows, D_2p + D), each
-    row's offset Z - c0 and its count of positive weights.
+    row's offset Z - c0 and its count of positive weights. The weights and
+    monomials are written to the flat scratch, of at least (2 rows + D_2p +
+    D) L entries.
     """
     double = _layout_cached(config.d, 2 * config.p)
     srt = dataset.by_first_axis
     A = dataset.region.sides()
     c0 = (Z.min(axis=0) + Z.max(axis=0)) / 2.0
-    W = _weigh(dataset, config.kernel, config.h, Z, pos)
-    M = np.empty((_moment_columns(config), W.shape[1]))
+    L = pos.stop - pos.start
+    cols = _moment_columns(config)
+    weights = scratch[: 2 * len(Z) * L].reshape(2, len(Z), L)
+    W = _weigh(dataset, config.kernel, config.h, Z, pos, out=weights)
+    M = scratch[weights.size : weights.size + cols * L].reshape(cols, L)
     for j in range(config.d):
         np.subtract(srt.columns[j][pos], A[j] * c0[j], out=M[j + 1])
         M[j + 1] /= A[j]

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.spatial.distance import cdist
 
 from .dataset import Region
 
@@ -112,16 +110,20 @@ def _draw_knots(model: FieldModel, region: Region, rng: np.random.Generator):
 
 
 def _superposition(kernel, sites: np.ndarray, knots: np.ndarray, jumps: np.ndarray):
-    """sum_j jumps_j r0 exp(-r1 ||x - a_j||) at every site, in row blocks.
+    """sum_j (r0 jumps_j) exp(-r1 ||x - a_j||) at every site, in row blocks.
 
     A block holds at most BLOCK_PAIRS site-knot pairs, so memory stays
     O(block) whatever the site and knot counts.
     """
+    # scipy.spatial costs about 0.1 s to import, so only the field loads it
+    from scipy.spatial.distance import cdist
+
     r0, r1 = kernel
     n = sites.shape[0]
     out = np.zeros(n)
     if len(knots) == 0:
         return out
+    jumps = r0 * jumps
     step = max(1, BLOCK_PAIRS // len(knots))
     buf = np.empty((min(step, n), len(knots)))
     for s in range(0, n, step):
@@ -129,7 +131,6 @@ def _superposition(kernel, sites: np.ndarray, knots: np.ndarray, jumps: np.ndarr
         phi = cdist(block, knots, out=buf[: len(block)])
         phi *= -r1
         np.exp(phi, out=phi)
-        phi *= r0
         # einsum without optimize runs its own C loop on this thread; a BLAS
         # GEMV would wake a worker thread that then spins for the whole run
         np.einsum("ij,j->i", phi, jumps, out=out[s : s + step])
@@ -189,6 +190,8 @@ def covariance_exponential(model: FieldModel, x) -> float:
     if d == 2:
         if t == 0.0:
             return r0 * r0 * math.pi / (2.0 * r1 * r1)
+        from scipy import special
+
         return r0 * r0 * math.pi * t * t * float(special.kv(2, r1 * t)) / 4.0
     raise ValueError(f"exponential-kernel covariance unsupported for d={d}")
 

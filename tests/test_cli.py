@@ -39,6 +39,61 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from spatial_lp import cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    loaded[name] = [rc] + scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_paths_outside_the_field_load_no_scipy(tmp_path):
+    """Only the CAR(1) field, product-beta sites and the d = 2 kernel
+    covariance import scipy. A fresh interpreter imports the CLI, then runs
+    two-sample, fit with taper_b, moments and a one-replication iid mc in
+    process; after each, sys.modules must hold no scipy module.
+    """
+    rng = np.random.default_rng(5)
+    data = []
+    for k in range(2):
+        sites = (rng.random((400, 2)) - 0.5) * 10.0
+        path = tmp_path / f"s{k}.csv"
+        save_csv(
+            SpatialDataset(Region(A=(10.0, 10.0)), sites, rng.standard_normal(400)), path
+        )
+        data.append(str(path))
+    fit = {"p": 1, "h": [0.25, 0.25], "z": [0.0, 0.0], "pilot_h": [0.3, 0.3],
+           "taper_b": [2.0, 2.0], "variance_h": [0.25, 0.25]}
+    commands = [
+        ("two-sample", ["two-sample", "--config", _write(
+            tmp_path / "ts.json",
+            {"p": 1, "h": [0.25, 0.25], "taper_b": [0.5, 0.5], "z": [0.0, 0.0]},
+        ), "--data1", data[0], "--data2", data[1]]),
+        ("fit", ["fit", "--config", _write(tmp_path / "fit.json", fit),
+                 "--data", data[0]]),
+        ("moments", ["moments", "--config", _write(tmp_path / "m.json", {"d": 2, "p": 1})]),
+        ("mc", ["mc", "--config", _write(
+            tmp_path / "mc.json",
+            {"reps": 1, "n": 300, "A": [10.0, 10.0], "error": {"kind": "iid"}},
+        )]),
+    ]
+    argv = [(name, [*a, "--out", str(tmp_path / name)]) for name, a in commands]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    loaded = json.loads(out.stdout)
+    assert loaded == {"import": [], **{name: [0] for name, _ in commands}}
+
+
 def test_moments_command(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"d": 2, "p": 1})
     assert cli.main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 0

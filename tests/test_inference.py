@@ -1,13 +1,20 @@
 """Variance estimation, confidence intervals, and the two-sample test."""
 
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+from scipy.special import ndtri
 
 from spatial_lp import basis, inference, kernels, lpfit
 from spatial_lp.dataset import Region, SpatialDataset, save_csv
@@ -40,6 +47,19 @@ def test_normal_quantile_matches_bisection(u):
     assert inference.normal_quantile(u) == pytest.approx(
         bisect_normal_quantile(u), abs=1e-8
     )
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.05, 0.1])
+def test_normal_quantile_matches_scipy(tau):
+    """The stdlib quantile agrees with scipy's ndtri to a few ulp.
+
+    Near u = 0.95 one ulp of u moves the quantile by about 5 ulp of q, so
+    two accurate routines may differ by that much; at tau = 0.1 the two
+    differ by 3 ulp.
+    """
+    u = 1.0 - tau / 2.0
+    ref = float(ndtri(u))
+    assert abs(inference.normal_quantile(u) - ref) <= 4 * math.ulp(ref)
 
 
 def test_cdf_quantile_round_trip():
@@ -152,6 +172,89 @@ def test_W_hat_nonnegative_when_taper_matrix_is_psd(window):
     assume(eig.min() >= -1e-12 * eig.max())
     est = inference.variance_hat(data, config, taper, z, mhat)
     assert est.W_hat >= 0.0
+
+
+@st.composite
+def _window_sets(draw):
+    """One or two sorted windows on [-2.5, 2.5]^d, residuals, b, a pair budget."""
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = draw(st.booleans())  # sites on a 0.25 grid: ties and distances of exactly b
+    windows = []
+    for _ in range(draw(st.integers(1, 2))):
+        X = rng.uniform(-2.5, 2.5, (draw(st.integers(1, 60)), d))
+        if grid:
+            X = np.round(X * 4.0) / 4.0
+        windows.append((X[np.argsort(X[:, 0], kind="stable")], rng.standard_normal(len(X))))
+    b = tuple(
+        draw(st.one_of(st.floats(0.1, 12.0), st.sampled_from([0.25, 0.5, 1.0])))
+        for _ in range(d)
+    )
+    pairs = draw(st.sampled_from([1, 7, 64, 500, inference.TAPER_PAIRS]))
+    return d, windows, b, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_window_sets())
+def test_blocked_taper_sum_equals_dense_double_sum(case):
+    """The strip-limited, blocked, one-triangle sum is the dense cdist sum.
+
+    b runs from 0.1 to past the window's width of 5; the pair budget runs
+    from one pair to the default, so blocks range from one row to all. The
+    tolerance is relative to the sum of the terms' magnitudes.
+    """
+    d, windows, b, pairs = case
+    config = lpfit.FitConfig(
+        p=1, kernel=kernels.KernelSpec(family="product-triangular", d=d), h=(0.25,) * d
+    )
+    taper = kernels.TaperSpec(widths=b)
+    with mock.patch.object(inference, "TAPER_PAIRS", pairs):
+        got = inference._long_run_variance(windows, config, taper, 1.0)
+    scale = float(np.prod(config.h)) * kernels.kappa0_r2(config.kernel)
+    dense = magnitude = 0.0
+    bb = np.asarray(b)
+    for Xa, ua in windows:
+        for Xc, uc in windows:
+            K = np.maximum(0.0, 1.0 - cdist(Xa / bb, Xc / bb))
+            dense += ua @ K @ uc
+            magnitude += np.abs(ua) @ K @ np.abs(uc)
+    assert abs(got * scale - dense) <= 1e-12 * magnitude
+
+
+RSS_PROBE = """
+import resource
+import numpy as np
+from spatial_lp import inference, kernels, lpfit
+from spatial_lp.dataset import Region, SpatialDataset
+# Table-1 case (ii) geometry at n = 16 000: about 4 000 window sites
+rng = np.random.default_rng(3)
+n = 16_000
+data = SpatialDataset(
+    Region(A=(10.0, 10.0)), rng.uniform(-5.0, 5.0, (n, 2)), rng.standard_normal(n)
+)
+config = lpfit.FitConfig(
+    p=1, kernel=kernels.KernelSpec("product-triangular", d=2), h=(0.25, 0.25)
+)
+rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+inference.variance_hat(data, config, kernels.TaperSpec((8.0, 8.0)), (0.0, 0.0))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss0) / 1024.0)
+"""
+
+
+def test_variance_hat_at_large_n_keeps_memory_bounded():
+    """One variance_hat call at n = 16 000 grows peak RSS by little.
+
+    Runs in a fresh interpreter. A dense m x m taper matrix over the 4 000
+    window sites would take 128 MB and grow peak RSS by about 122 MB.
+    """
+    src = str(Path(inference.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    assert float(out.stdout) <= 32.0
 
 
 def test_interval_halfwidth_formula():

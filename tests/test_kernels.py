@@ -4,8 +4,15 @@ The closed-form moments are cross-checked against 64-node Gauss-Legendre
 quadrature, which is exact for the piecewise-polynomial kernels used here.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
+from scipy.spatial.distance import cdist
 
 from spatial_lp import basis, kernels
 
@@ -73,6 +80,23 @@ def test_taper_anisotropic_widths():
     assert _taper_at(taper, (0.0, 2.0)) == pytest.approx(0.5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_taper_matches_cdist_bitwise(d, seed):
+    """Kbar is max(0, 1 - cdist(X / b, Y / b)) to the bit, given out or not."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((int(rng.integers(1, 40)), d)) * 10.0 ** rng.uniform(-3, 3)
+    Y = rng.standard_normal((int(rng.integers(1, 40)), d)) * 10.0 ** rng.uniform(-3, 3)
+    taper = kernels.TaperSpec(widths=tuple(rng.uniform(0.05, 10.0, d)))
+    b = np.asarray(taper.widths)
+    expected = np.maximum(0.0, 1.0 - cdist(X / b, Y / b))
+    np.testing.assert_array_equal(kernels.eval_taper_pairs(taper, X, Y), expected)
+    out, work = np.empty((2, len(X), len(Y)))
+    got = kernels.eval_taper_pairs(taper, X, Y, out=out, work=work)
+    assert got is out
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_taper_validation():
     with pytest.raises(ValueError):
         kernels.TaperSpec(widths=(1.0, -1.0))
@@ -134,6 +158,28 @@ def test_moment_1d_matches_quadrature(family, a, r):
         assert kernels.moment_1d(spec, a, r) == pytest.approx(
             quad_moment_1d(spec, a, r), abs=1e-12
         )
+
+
+def _exact_epanechnikov_moment(a, r):
+    """int_{-1}^{1} u^a ((3/4)(1 - u^2))^r du as a fraction, for even a."""
+    x = Fraction(a + 1, 2)
+    return Fraction(3, 4) ** r * math.factorial(r) / math.prod(x + k for k in range(r + 1))
+
+
+@pytest.mark.parametrize("a", range(0, 15, 2))
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_epanechnikov_moment_is_correctly_rounded(a, r):
+    got = kernels._base_moment_1d("product-epanechnikov", a, r)
+    assert got == float(_exact_epanechnikov_moment(a, r))
+
+
+@pytest.mark.parametrize("a", range(0, 9, 2))  # every a = 2p + 2 for p <= 3
+@pytest.mark.parametrize("r", [1, 2])
+def test_epanechnikov_moment_matches_scipy_beta(a, r):
+    """The closed form agrees with (3/4)^r B((a+1)/2, r+1) from scipy."""
+    ref = 0.75**r * special.beta((a + 1) / 2.0, r + 1)
+    got = kernels._base_moment_1d("product-epanechnikov", a, r)
+    assert abs(got - ref) <= 2 * math.ulp(ref)
 
 
 def test_odd_moments_vanish():

@@ -276,9 +276,9 @@ def _fit_many_by_block(data, config, Z, budget):
     blocks = []
     block_moments = lpfit._block_moments
 
-    def recording_block_moments(dataset, config, Zb, pos):
+    def recording_block_moments(dataset, config, Zb, pos, scratch):
         blocks.append((Zb.copy(), pos))
-        return block_moments(dataset, config, Zb, pos)
+        return block_moments(dataset, config, Zb, pos, scratch)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpfit, "BLOCK_MNK", budget)
