@@ -19,14 +19,7 @@ import numpy as np
 
 from . import __version__, kernels, lpfit, mc
 from .basis import build_layout, parse_index, validate_index
-from .dataset import (
-    SpatialDataset,
-    generate_sites,
-    load_csv,
-    rep_rng,
-    save_csv,
-    save_metadata,
-)
+from .dataset import load_csv, save_csv, save_metadata
 from .inference import (
     confidence_interval,
     two_sample_test,
@@ -165,16 +158,13 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     # one draw of the mc response model: replication 0 of a one-rep spec
     spec = mc.ExperimentSpec.from_config(_Config(cfg, reps=1), master_seed=seed)
-    region, density, seed = spec.region(), spec.density, spec.master_seed
-    rng = rep_rng(seed, 0)
-    sites = generate_sites(region, density, spec.n, rng)
-    y = mc.simulate_responses(spec, sites, rng)
-    dataset = SpatialDataset(region=region, sites=sites, responses=y)
+    dataset = mc.draw_dataset(spec, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out / "data.csv")
     save_metadata(
-        out / "data.meta.json", region=region, n=spec.n, seed=seed, density=density
+        out / "data.meta.json",
+        region=dataset.region, n=spec.n, seed=spec.master_seed, density=spec.density,
     )
     (out / "provenance.json").write_text(json.dumps(_provenance(cfg), indent=2))
     return 0

@@ -232,7 +232,7 @@ def two_sample_test(
         )
     diff = fit1.derivative(idx) - fit2.derivative(idx)
     T = diff / np.sqrt(derivative_variance(fit1.config, idx, V_check, fit1.An))
-    p = 2.0 * (1.0 - normal_cdf(abs(T)))
+    p = 2.0 * normal_cdf(-abs(T))
     q = normal_quantile(1.0 - tau / 2.0)
     return TestReport(
         idx=idx,

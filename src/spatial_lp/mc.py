@@ -25,7 +25,7 @@ from . import kernels, randfield
 from .dataset import Region, SamplingDensity, SpatialDataset, generate_sites, rep_rng
 from .inference import normal_quantile, variance_hat
 from .lpfit import FitConfig, FitError, derivative_variance, estimate_bias, fit_at
-from .randfield import FieldModel, NoiseModel
+from .randfield import FieldModel
 
 HIST_RANGE = (-5.0, 5.0)
 HIST_BINS = 30
@@ -34,6 +34,8 @@ HIST_BINS = 30
 def paper_mean(z: np.ndarray) -> np.ndarray:
     """Benchmark trend surface (10 z1 + 15) cos(z1 + z2 + 1) on R_0 in d=2."""
     z = np.atleast_2d(z)
+    if z.shape[1] < 2:
+        raise ValueError(f"mean paper_mean uses x2 in d={z.shape[1]}")
     return (10.0 * z[:, 0] + 15.0) * np.cos(z[:, 0] + z[:, 1] + 1.0)
 
 
@@ -245,29 +247,34 @@ class ExperimentSummary:
 
 
 def simulate_responses(spec: ExperimentSpec, sites: np.ndarray, rng) -> np.ndarray:
-    """Mean surface plus the configured error process at the given sites."""
-    region = spec.region()
-    z = sites / region.sides()
-    mean_fn = make_mean_function(spec.mean)
-    y = mean_fn(z) + spec.mean_offset
+    """Mean surface plus the error e(x) + sigma eps at the given sites.
 
+    e is zero for iid errors and the CAR(1) field for car1; eps is iid
+    standard normal, drawn from rng after the field.
+    """
+    region = spec.region()
+    y = make_mean_function(spec.mean)(sites / region.sides()) + spec.mean_offset
     model = spec.error.field_model()
     if model is None:
-        noise = NoiseModel(eta=0.0, sigma_eps=math.sqrt(spec.error.sigma2))
         e = np.zeros(sites.shape[0])
     else:
-        noise = NoiseModel(eta=1.0, sigma_eps=math.sqrt(spec.error.sigma2))
         e = randfield.simulate_field(model, region, sites, rng)
-    return y + randfield.apply_error_model(sites, e, noise, region, rng)
+    eps = rng.standard_normal(sites.shape[0])
+    return y + (e + math.sqrt(spec.error.sigma2) * eps)
 
 
-def run_replication(spec: ExperimentSpec, rep: int) -> tuple[float, bool]:
-    """One replication: returns (T_hat, ci_covered)."""
+def draw_dataset(spec: ExperimentSpec, rep: int) -> SpatialDataset:
+    """Replication rep's data: sites, then responses, from one stream."""
     rng = rep_rng(spec.master_seed, rep)
     region = spec.region()
     sites = generate_sites(region, spec.density, spec.n, rng)
     y = simulate_responses(spec, sites, rng)
-    dataset = SpatialDataset(region=region, sites=sites, responses=y)
+    return SpatialDataset(region=region, sites=sites, responses=y)
+
+
+def run_replication(spec: ExperimentSpec, rep: int) -> tuple[float, bool]:
+    """One replication: returns (T_hat, ci_covered)."""
+    dataset = draw_dataset(spec, rep)
 
     kern = spec.kernel()
     config = FitConfig(p=spec.p, kernel=kern, h=spec.fit_h, pilot_h=spec.pilot_h)

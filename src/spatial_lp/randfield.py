@@ -60,34 +60,6 @@ def car1(lam: float, **kw) -> FieldModel:
     return FieldModel(kernels=((1.0, lam),), **kw)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Variance functions for the error decomposition eta(z) e + sigma(z) eps.
-
-    eta and sigma_eps are constants or callables on rescaled coordinates.
-    """
-
-    eta: object = 1.0
-    sigma_eps: object = 1.0
-
-    def eta_at(self, z: np.ndarray) -> np.ndarray:
-        return _eval_varfunc(self.eta, z)
-
-    def sigma_at(self, z: np.ndarray) -> np.ndarray:
-        return _eval_varfunc(self.sigma_eps, z)
-
-
-def _eval_varfunc(f, z: np.ndarray) -> np.ndarray:
-    z = np.atleast_2d(z)
-    if callable(f):
-        out = np.asarray(f(z), dtype=float)
-    else:
-        out = np.full(z.shape[0], float(f))
-    if (out < 0).any():
-        raise ValueError("variance functions must be nonnegative")
-    return out
-
-
 def _knot_halfwidths(model: FieldModel, region: Region) -> np.ndarray:
     half = region.sides() / 2.0
     if model.buffer is not None:
@@ -100,13 +72,11 @@ def _knot_halfwidths(model: FieldModel, region: Region) -> np.ndarray:
 
 def _draw_knots(model: FieldModel, region: Region, rng: np.random.Generator):
     half = _knot_halfwidths(model, region)
-    volume = float(np.prod(2.0 * half))
     if model.n_knots is not None:
         count = int(model.n_knots)
     else:
-        count = int(rng.poisson(model.rho * volume))
-    knots = rng.uniform(-half, half, size=(count, region.d))
-    return knots, volume
+        count = int(rng.poisson(model.rho * float(np.prod(2.0 * half))))
+    return rng.uniform(-half, half, size=(count, region.d))
 
 
 def _superposition(kernel, sites: np.ndarray, knots: np.ndarray, jumps: np.ndarray):
@@ -151,7 +121,7 @@ def simulate_field(
     if model.tau2 == 0.0:
         return np.zeros(sites.shape[0])
 
-    knots, _ = _draw_knots(model, region, rng)
+    knots = _draw_knots(model, region, rng)
     jumps = rng.normal(0.0, math.sqrt(model.tau2), size=len(knots))
     return _superposition(model.kernels[0], sites, knots, jumps)
 
@@ -168,7 +138,7 @@ def simulate_bivariate(
         if not region.contains(s).all():
             raise ValueError("all evaluation sites must lie inside the region")
     rng = np.random.default_rng(seed)
-    knots, _ = _draw_knots(model, region, rng)
+    knots = _draw_knots(model, region, rng)
     jumps = rng.normal(0.0, math.sqrt(model.tau2), size=len(knots))
     e1 = _superposition(model.kernels[0], sites1, knots, jumps)
     e2 = _superposition(model.kernels[1], sites2, knots, jumps)
@@ -206,21 +176,3 @@ def field_variance(model: FieldModel, region: Region) -> float:
         volume = float(np.prod(2.0 * _knot_halfwidths(model, region)))
         intensity = model.n_knots / volume
     return intensity * model.tau2 * covariance_exponential(model, np.zeros(region.d))
-
-
-def apply_error_model(
-    sites: np.ndarray,
-    field_values: np.ndarray,
-    noise: NoiseModel,
-    region: Region,
-    seed,
-) -> np.ndarray:
-    """eta(x/A) e(x) + sigma_eps(x/A) eps with i.i.d. standard normal eps."""
-    sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    field_values = np.asarray(field_values, dtype=float)
-    if sites.shape[0] != field_values.shape[0]:
-        raise ValueError("sites and field values must have equal length")
-    rng = np.random.default_rng(seed)
-    z = sites / region.sides()
-    eps = rng.standard_normal(sites.shape[0])
-    return noise.eta_at(z) * field_values + noise.sigma_at(z) * eps

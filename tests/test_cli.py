@@ -129,6 +129,44 @@ def test_simulate_reproducible(tmp_path):
     assert not np.array_equal(da.sites, dc.sites)
 
 
+@pytest.mark.parametrize(
+    "error", [{"kind": "iid", "sigma2": 0.3},
+              {"kind": "car1", "sigma2": 0.04, "lambda": 0.7, "tau2": 0.5, "n_knots": 60,
+               "buffer": 2.0}],
+    ids=["iid", "car1"],
+)
+def test_simulate_stream_order(tmp_path, error):
+    """data.csv rebuilt with numpy alone: one stream, drawn in a fixed order.
+
+    Stream SeedSequence([seed, 0]): the sites, then for car1 the knots on
+    the buffered region and their jumps, then the measurement noise.
+    """
+    n, A, seed = 40, np.array([10.0, 6.0]), 11
+    cfg = _write(tmp_path / "sim.json", {
+        "n": n, "A": A.tolist(), "mean": "x1 - 2 * x2", "error": error, "seed": seed,
+    })
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    data = load_csv(tmp_path / "o" / "data.csv")
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    sites = (rng.random((n, 2)) - 0.5) * A
+    z = sites / A
+    y = z[:, 0] - 2 * z[:, 1]
+    if error["kind"] == "car1":
+        half = A / 2 * error["buffer"]
+        knots = rng.uniform(-half, half, (error["n_knots"], 2))
+        jumps = rng.normal(0.0, np.sqrt(error["tau2"]), error["n_knots"])
+        dist = np.sqrt(((sites[:, None, :] - knots[None, :, :]) ** 2).sum(axis=2))
+        y = y + np.exp(-error["lambda"] * dist) @ jumps
+    y = y + np.sqrt(error["sigma2"]) * rng.standard_normal(n)
+
+    np.testing.assert_array_equal(data.sites, sites)
+    if error["kind"] == "iid":
+        np.testing.assert_array_equal(data.responses, y)
+    else:
+        assert np.max(np.abs(data.responses - y)) <= 1e-12 * np.max(np.abs(y))
+
+
 @pytest.fixture()
 def sim_data(tmp_path):
     cfg = _write(
@@ -390,7 +428,7 @@ def test_bad_error_or_density_is_rejected(
 ):
     """One stderr line and rc 1, before any site is drawn."""
     monkeypatch.setattr(
-        cli, "generate_sites", lambda *a: pytest.fail("sites were drawn")
+        mc, "generate_sites", lambda *a: pytest.fail("sites were drawn")
     )
     monkeypatch.setattr(mc, "run_replication", lambda *a: pytest.fail("a replication ran"))
     payload = {"n": 50, "A": [10.0, 10.0], **section}
@@ -411,6 +449,20 @@ def test_mc_mean_fails_before_any_replication(tmp_path, capsys, monkeypatch, mea
     assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert mean in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_default_mean_needs_two_axes(tmp_path, capsys, monkeypatch, command):
+    """paper_mean reads x2, so in d = 1 with no mean the config is rc 1."""
+    monkeypatch.setattr(mc, "run_replication", lambda *a: pytest.fail("a replication ran"))
+    payload = {"n": 50, "A": [10.0]}
+    if command == "mc":
+        payload["reps"] = 2
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "x2" in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

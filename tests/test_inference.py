@@ -455,6 +455,18 @@ def test_two_sample_test_decisions():
     assert report.p_value > 0.05
 
 
+def test_two_sample_p_value_keeps_the_far_tail():
+    """2 (1 - Phi(|T|)) cancels to 0 near |T| = 8.3; 2 Phi(-|T|) does not."""
+    h = (0.25, 0.25)
+    fit1 = _fit_result([3.4, 0.0, 0.0], h=h)
+    fit2 = _fit_result([1.0, 0.0, 0.0], h=h)
+    report = inference.two_sample_test(fit1, fit2, 1.0, (), 0.05)
+    assert report.T == pytest.approx(9.0, rel=1e-12)
+    exact = math.erfc(abs(report.T) / math.sqrt(2.0))
+    assert exact == pytest.approx(2.257e-19, rel=1e-3)
+    assert report.p_value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_two_sample_test_inconclusive_and_validation():
     fit1 = _fit_result([1.0, 0.0, 0.0])
     fit2 = _fit_result([2.0, 0.0, 0.0])

@@ -209,34 +209,10 @@ def test_bivariate_matches_dense_reference():
         mp.setattr(randfield, "BLOCK_PAIRS", 7 * model.n_knots)
         e1, e2 = randfield.simulate_bivariate(model, region, sites1, sites2, 13)
     rng = np.random.default_rng(13)
-    knots, _ = randfield._draw_knots(model, region, rng)
+    knots = randfield._draw_knots(model, region, rng)
     jumps = rng.normal(0.0, np.sqrt(model.tau2), len(knots))
     for e, kernel, sites in zip((e1, e2), model.kernels, (sites1, sites2)):
         assert _rel_err(e, _dense_superposition(kernel, sites, knots, jumps)) <= 1e-12
-
-
-# --- noise model ----------------------------------------------------------
-
-
-def test_apply_error_model_constant_noise():
-    region = Region(A=(2.0, 2.0))
-    sites = np.array([[0.0, 0.0], [0.5, -0.5]])
-    e = np.array([1.0, 2.0])
-    noise = randfield.NoiseModel(eta=3.0, sigma_eps=0.0)
-    out = randfield.apply_error_model(sites, e, noise, region, 0)
-    np.testing.assert_allclose(out, [3.0, 6.0])
-
-
-def test_apply_error_model_callable_variance():
-    region = Region(A=(2.0, 2.0))
-    sites = np.array([[1.0, 0.0]])
-    noise = randfield.NoiseModel(
-        eta=0.0, sigma_eps=lambda z: 1.0 + z[:, 0] ** 2
-    )
-    rng = np.random.default_rng(5)
-    eps = np.random.default_rng(5).standard_normal(1)
-    out = randfield.apply_error_model(sites, np.zeros(1), noise, region, rng)
-    assert out[0] == pytest.approx(1.25 * eps[0])
 
 
 def test_validation_errors():
@@ -253,15 +229,3 @@ def test_validation_errors():
         randfield.simulate_field(bivar, region, np.zeros((1, 2)), 0)
     with pytest.raises(ValueError):
         randfield.simulate_bivariate(model, region, np.zeros((1, 2)), np.zeros((1, 2)), 0)
-    with pytest.raises(ValueError):
-        randfield.apply_error_model(
-            np.zeros((2, 2)), np.zeros(3), randfield.NoiseModel(), region, 0
-        )
-    with pytest.raises(ValueError):
-        randfield.apply_error_model(
-            np.zeros((1, 2)),
-            np.zeros(1),
-            randfield.NoiseModel(eta=lambda z: -np.ones(z.shape[0])),
-            region,
-            0,
-        )
