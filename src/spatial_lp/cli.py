@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels, lpfit, mc
+from . import __version__, kernels, mc
 from .basis import build_layout, parse_index, validate_index
 from .dataset import load_csv, save_csv, save_metadata
 from .inference import (
     confidence_interval,
+    residual_means_once,
     two_sample_test,
     two_sample_variance,
     variance_hat,
@@ -121,8 +122,9 @@ def _load_config(path, allowed: set) -> dict:
 
 
 def _check_axes(cfg, d: int, per: str) -> None:
-    """z and taper_b hold one number, and z_grid one array, for each of d axes."""
-    for key in ("z", "z_grid", "taper_b"):
+    """The bandwidths, z and taper_b hold one number, and z_grid one array,
+    for each of d axes."""
+    for key in ("h", "pilot_h", "variance_h", "z", "z_grid", "taper_b"):
         if key in cfg and len(cfg[key]) != d:
             raise ConfigError(f"{key} has {len(cfg[key])} axes, expected {d} ({per})")
 
@@ -170,20 +172,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fitted_once(dataset, config):
-    """m_hat by config's fits, each distinct point once; windows of a grid overlap."""
-    fitted = {}
-
-    def cached(Z):
-        new = {z.tobytes(): z for z in Z if z.tobytes() not in fitted}
-        if new:
-            beta = lpfit.fit_many(dataset, config, np.array(list(new.values())))[0]
-            fitted.update(zip(new, beta[:, 0]))
-        return np.array([fitted[z.tobytes()] for z in Z])
-
-    return cached
-
-
 FIT_KEYS = {"p", "kernel", "h", "z", "z_grid", "pilot_h", "variance_h", "taper_b", "tau"}
 
 
@@ -214,7 +202,7 @@ def cmd_fit(args) -> int:
         taper = kernels.TaperSpec(widths=tuple(cfg["taper_b"]))
         variance_h = tuple(cfg.get("variance_h", cfg["h"]))
         res_cfg = FitConfig(p=config.p, kernel=kern, h=variance_h)
-        mhat = _fitted_once(dataset, res_cfg)
+        mhat = residual_means_once(dataset, res_cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

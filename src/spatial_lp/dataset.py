@@ -28,8 +28,10 @@ class Region:
     A: tuple[float, ...]
 
     def __post_init__(self):
-        if any(a <= 0 for a in self.A):
-            raise ValueError("all region side lengths must be positive")
+        if not all(0 < a < math.inf for a in self.A):
+            raise ValueError(
+                f"region side lengths must be finite and positive, got {self.A}"
+            )
 
     @property
     def d(self) -> int:

@@ -72,8 +72,28 @@ def _window(dataset: SpatialDataset, config: FitConfig, z, mhat):
         raise DegenerateWindow(f"estimated density at z={z} is zero")
     X = dataset.sites[rows]
     Z = X / dataset.region.sides()
-    m = lpfit.fit_many(dataset, config, Z)[0][:, 0] if mhat is None else mhat(Z)
+    m = _residual_means(dataset, config, Z) if mhat is None else mhat(Z)
     return g, X, w * (dataset.responses[rows] - m) / (dataset.n * g)
+
+
+def _residual_means(dataset: SpatialDataset, config: FitConfig, Z) -> np.ndarray:
+    """m_hat at the (m, d) rescaled points Z: the intercepts of config's fits."""
+    return lpfit.fit_many(dataset, config, Z)[0][:, 0]
+
+
+def residual_means_once(dataset: SpatialDataset, config: FitConfig):
+    """An mhat for variance_hat at many z: _window's own residual means, each
+    distinct site fitted once across calls, as the windows of a grid overlap."""
+    fitted = {}
+
+    def mhat(Z):
+        new = {z.tobytes(): z for z in Z if z.tobytes() not in fitted}
+        if new:
+            m = _residual_means(dataset, config, np.array(list(new.values())))
+            fitted.update(zip(new, m))
+        return np.array([fitted[z.tobytes()] for z in Z])
+
+    return mhat
 
 
 def _long_run_variance(windows, config: FitConfig, taper, An) -> float:
@@ -108,15 +128,13 @@ def _taper_sum(taper, X, u, Y, v, same: bool, buf: np.ndarray) -> float:
     evaluated once.
     """
     b1 = taper.widths[0]
-    x, y = X[:, 0] / b1, Y[:, 0] / b1
     # one b_1 plus STRIP_PAD: far more than the rounding in a scaled
     # difference, so every pair of positive weight lies in its row's strip
-    lo = np.searchsorted(y, x - (1.0 + lpfit.STRIP_PAD), side="left")
-    hi = np.searchsorted(y, x + (1.0 + lpfit.STRIP_PAD), side="right")
+    lo, hi = lpfit.strips(Y[:, 0] / b1, X[:, 0] / b1, 1.0 + lpfit.STRIP_PAD)
     if same:
-        lo = np.maximum(lo, np.arange(len(x)))
+        lo = np.maximum(lo, np.arange(len(lo)))
     s = 0.0
-    for r0, r1, c0, c1 in _row_blocks(lo, hi, buf.shape[1]):
+    for r0, r1, c0, c1 in lpfit.row_blocks(lo, hi, buf.shape[1]):
         shape = (r1 - r0, c1 - c0)
         K = kernels.eval_taper_pairs(
             taper, X[r0:r1], Y[c0:c1],
@@ -130,22 +148,6 @@ def _taper_sum(taper, X, u, Y, v, same: bool, buf: np.ndarray) -> float:
             Kv = K @ v[c0:c1]
         s += float(u[r0:r1] @ Kv)
     return s
-
-
-def _row_blocks(lo: np.ndarray, hi: np.ndarray, pairs: int):
-    """(r0, r1, c0, c1) of each block: rows r0..r1-1 and columns c0..c1-1.
-
-    Row i's strip is columns lo[i]..hi[i]-1, both ends ascending in i. A
-    block is a run of rows with the union of their strips, cut before rows x
-    columns would pass pairs, unless it is one row.
-    """
-    s = 0
-    while s < len(lo):
-        # rows s..e-1 meet columns lo[s]..hi[e-1]-1: a count that grows with e
-        cost = np.arange(1, len(lo) - s + 1) * (hi[s:] - lo[s])
-        e = s + max(1, int(np.searchsorted(cost, pairs, side="right")))
-        yield s, e, int(lo[s]), int(hi[e - 1])
-        s = e
 
 
 def variance_hat(

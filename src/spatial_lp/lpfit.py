@@ -120,15 +120,42 @@ def _box(dataset: SpatialDataset, kernel: kernels.KernelSpec, h, z: np.ndarray) 
     srt = dataset.by_first_axis
     c = dataset.region.sides() * z
     r = _reach(dataset, kernel, h)
-    lo, hi = c - r, c + r
-    a = int(np.searchsorted(srt.columns[0], lo[0], side="left"))
-    b = int(np.searchsorted(srt.columns[0], hi[0], side="right"))
+    a, b = strips(srt.columns[0], c[0], r[0])
     inside = np.ones(b - a, dtype=bool)
     for j in range(1, len(c)):
         x = srt.columns[j][a:b]
-        inside &= x >= lo[j]
-        inside &= x <= hi[j]
+        inside &= x >= c[j] - r[j]
+        inside &= x <= c[j] + r[j]
     return a + np.flatnonzero(inside)
+
+
+def strips(x: np.ndarray, centres, reach: float):
+    """(lo, hi): x[lo:hi] holds the x within reach of each centre.
+
+    x ascends; lo and hi take the shape of centres and ascend with them.
+    """
+    return (
+        np.searchsorted(x, centres - reach, side="left"),
+        np.searchsorted(x, centres + reach, side="right"),
+    )
+
+
+def row_blocks(lo: np.ndarray, hi: np.ndarray, pairs: int):
+    """(r0, r1, c0, c1) of each block: rows r0..r1-1 and columns c0..c1-1.
+
+    Row i's strip is columns lo[i]..hi[i]-1, both ends ascending in i. A
+    block is a run of rows with the union of their strips, cut before rows x
+    columns would pass pairs, unless it is one row.
+    """
+    lo, hi = lo.tolist(), hi.tolist()
+    s = 0
+    for e in range(1, len(lo)):
+        # rows s..e meet columns lo[s]..hi[e]-1: a count that grows with e
+        if (e - s + 1) * (hi[e] - lo[s]) > pairs:
+            yield s, e, lo[s], hi[e - 1]
+            s = e
+    if lo:
+        yield s, len(lo), lo[s], hi[-1]
 
 
 def _weigh(
@@ -231,18 +258,25 @@ def _fit_rows(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
     mu = np.empty((len(Z), cols))
     delta = np.empty_like(Z)
     n_eff = np.empty(len(Z), dtype=np.int64)
+    # rows in order of first coordinate, each meeting its first-axis strip; a
+    # block's moment GEMM, rows x L x cols, stays under BLOCK_MNK
     order = np.argsort(Z[:, 0], kind="stable")
-    blocks = list(_blocks(dataset, config, Z[order]))
+    lo, hi = strips(
+        dataset.by_first_axis.columns[0],
+        dataset.region.sides()[0] * Z[order, 0],
+        _reach(dataset, config.kernel, config.h)[0],
+    )
+    blocks = list(row_blocks(lo, hi, BLOCK_MNK // cols))
     # one scratch buffer for every block's weights and monomials, sized to the
     # largest, so no block maps and faults in fresh pages
     scratch = np.empty(max(
-        ((2 * (rows.stop - rows.start) + cols) * (pos.stop - pos.start)
-         for rows, pos in blocks),
-        default=0,
+        ((2 * (r1 - r0) + cols) * (c1 - c0) for r0, r1, c0, c1 in blocks), default=0
     ))
-    for rows, pos in blocks:
-        r = order[rows]
-        mu[r], delta[r], n_eff[r] = _block_moments(dataset, config, Z[r], pos, scratch)
+    for r0, r1, c0, c1 in blocks:
+        r = order[r0:r1]
+        mu[r], delta[r], n_eff[r] = _block_moments(
+            dataset, config, Z[r], slice(c0, c1), scratch
+        )
     _check_counts(config, Z, n_eff)
     XWX, XWY = _shift_moments(config, mu, delta)
     cleared = _well_conditioned(XWX)
@@ -261,33 +295,6 @@ def _check_counts(config: FitConfig, Z: np.ndarray, n_eff: np.ndarray) -> None:
         raise NoLocalData(
             f"{n_eff[r]} sites in the kernel window at z={Z[r]}, need >= {D}"
         )
-
-
-def _blocks(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
-    """(rows, pos) of each block of Z, whose rows ascend in first coordinate.
-
-    Row r's strip holds the sites with |X_i1 - A_1 z_r1| <= A_1 (h_1 C +
-    STRIP_PAD), a superset of its kernel window. A block is a run of rows
-    whose strips overlap; its candidates pos are the union of their strips,
-    one slice of the sorted sites, with no gather and no padding. A run ends
-    before its moment GEMM, rows x L x (D_2p + D), would pass BLOCK_MNK,
-    unless it is one row.
-    """
-    x = dataset.by_first_axis.columns[0]
-    c = dataset.region.sides()[0] * Z[:, 0]
-    r = _reach(dataset, config.kernel, config.h)[0]
-    lo = np.searchsorted(x, c - r, side="left")
-    hi = np.searchsorted(x, c + r, side="right")
-    cols = _moment_columns(config)
-    lo, hi = lo.tolist(), hi.tolist()
-    s = 0
-    for e in range(1, len(Z)):
-        # rows s..e scan lo[s]..hi[e], as hi ascends
-        if lo[e] > hi[e - 1] or (e - s + 1) * (hi[e] - lo[s]) * cols > BLOCK_MNK:
-            yield slice(s, e), slice(lo[s], hi[e - 1])
-            s = e
-    if len(Z):
-        yield slice(s, len(Z)), slice(lo[s], hi[-1])
 
 
 def _fit_box(dataset: SpatialDataset, config: FitConfig, z: np.ndarray):

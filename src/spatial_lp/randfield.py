@@ -17,6 +17,8 @@ from .dataset import Region
 
 # site-knot pairs per row block of the superposition (twice lpfit's budget)
 BLOCK_PAIRS = 1 << 16
+# knots per unit volume of the knot region, unless a model fixes n_knots
+RHO = 2.0
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,7 @@ class FieldModel:
 
     kernels holds one (r0, r1) pair per output component; car1(lam) is
     (1.0, lam).  The compound Poisson measure has jump variance tau2;
-    either `rho` (knots per unit area) or a fixed `n_knots` drives its knot
+    either RHO knots per unit volume or a fixed `n_knots` drives its knot
     count.  `buffer` enlarges the knot region: knots are uniform on
     prod_j [-buffer * A_j / 2, buffer * A_j / 2]; with None the region
     grows until the kernel tail is negligible at its boundary.
@@ -33,15 +35,12 @@ class FieldModel:
 
     kernels: tuple[tuple[float, float], ...]
     tau2: float = 0.01
-    rho: float = 2.0
     n_knots: int | None = None
     buffer: float | None = 2.0
 
     def __post_init__(self):
         if self.tau2 < 0:
             raise ValueError("jump variance tau2 must be >= 0")
-        if self.rho <= 0:
-            raise ValueError("knot intensity rho must be positive")
         if self.n_knots is not None and self.n_knots < 0:
             raise ValueError("knot count n_knots must be >= 0")
         if self.buffer is not None and self.buffer <= 0:
@@ -75,7 +74,7 @@ def _draw_knots(model: FieldModel, region: Region, rng: np.random.Generator):
     if model.n_knots is not None:
         count = int(model.n_knots)
     else:
-        count = int(rng.poisson(model.rho * float(np.prod(2.0 * half))))
+        count = int(rng.poisson(RHO * float(np.prod(2.0 * half))))
     return rng.uniform(-half, half, size=(count, region.d))
 
 
@@ -169,9 +168,9 @@ def covariance_exponential(model: FieldModel, x) -> float:
 def field_variance(model: FieldModel, region: Region) -> float:
     """Stationary variance of the field simulated on region (lag-0 covariance).
 
-    The knot intensity is rho, or a fixed n_knots over the knot region's volume.
+    The knot intensity is RHO, or a fixed n_knots over the knot region's volume.
     """
-    intensity = model.rho
+    intensity = RHO
     if model.n_knots is not None:
         volume = float(np.prod(2.0 * _knot_halfwidths(model, region)))
         intensity = model.n_knots / volume

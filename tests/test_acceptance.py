@@ -247,9 +247,7 @@ def test_acceptance_4_field_covariance():
 
     checks = []
     for lam in (0.5, 1.0):
-        model = randfield.car1(
-            lam, tau2=0.01, rho=2.0, n_knots=None, buffer=2.0
-        )
+        model = randfield.car1(lam, tau2=0.01, n_knots=None, buffer=2.0)
         prods = {t: [] for t in lags}
         for rep in range(200):
             e = randfield.simulate_field(
@@ -273,7 +271,7 @@ def test_acceptance_4_field_covariance():
                     dev <= 3 * se,
                 )
             )
-    c0 = randfield.field_variance(randfield.car1(1.0, tau2=0.01, rho=2.0), region)
+    c0 = randfield.field_variance(randfield.car1(1.0, tau2=0.01), region)
     checks.append((f"lag-0 variance {c0:.4f} ~ 0.0314 for lam=1", abs(c0 - 0.0314) < 1e-3))
     _report(4, checks)
 

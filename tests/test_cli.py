@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spatial_lp import cli, lpfit, mc
+from spatial_lp import cli, kernels, lpfit, mc
 from spatial_lp.dataset import Region, SpatialDataset, load_csv, save_csv
+from spatial_lp.inference import variance_hat
 
 
 def _write(path, payload):
@@ -253,6 +254,29 @@ def test_fit_grid_fits_each_window_site_once(tmp_path, sim_data, monkeypatch):
     ]
     assert len(windows[0] & windows[1]) > 0
     assert sorted(fitted) == sorted(windows[0] | windows[1])
+
+
+def test_fit_grid_w_hat_equals_variance_hat(tmp_path, sim_data):
+    """A grid's shared residual fits give each point variance_hat's own W_hat."""
+    cfg = _write(
+        tmp_path / "fit.json",
+        {"p": 1, "h": [0.25, 0.25], "variance_h": [0.3, 0.2],
+         "z_grid": [[-0.1, 0.0, 0.1], [-0.05, 0.05]], "taper_b": [2.0, 1.5],
+         "kernel": {"family": "product-epanechnikov"}},
+    )
+    out = tmp_path / "fit_out"
+    assert cli.main(["fit", "--config", cfg, "--data", str(sim_data), "--out", str(out)]) == 0
+    with (out / "fits.csv").open() as f:
+        w_hat = {r["z"]: float(r["W_hat"]) for r in csv.DictReader(f)}
+    assert len(w_hat) == 6
+    data = load_csv(sim_data)
+    res_cfg = lpfit.FitConfig(
+        p=1, kernel=kernels.KernelSpec("product-epanechnikov", d=2), h=(0.3, 0.2)
+    )
+    taper = kernels.TaperSpec(widths=(2.0, 1.5))
+    for z in [(z1, z2) for z1 in (-0.1, 0.0, 0.1) for z2 in (-0.05, 0.05)]:
+        W = variance_hat(data, res_cfg, taper, np.array(z)).W_hat
+        assert w_hat[";".join(f"{v:g}" for v in z)] == pytest.approx(W, rel=1e-12, abs=0.0)
 
 
 def test_fit_requires_evaluation_points(tmp_path, sim_data):
@@ -832,15 +856,31 @@ def test_two_sample_index_is_checked_before_any_fit(
      ("two-sample", {"h": [0.3, 0.3], "taper_b": [0.5]},
       "taper_b has 1 axes, expected 2"),
      ("two-sample", {"h": [0.3, 0.3], "taper_b": [0.5, 0.5, 0.5]},
-      "taper_b has 3 axes, expected 2")],
+      "taper_b has 3 axes, expected 2"),
+     ("fit", {"h": [0.25], "z": [0.0, 0.0]}, "h has 1 axes, expected 2"),
+     ("fit", {"h": [0.25, 0.25, 0.25], "z": [0.0, 0.0]}, "h has 3 axes, expected 2"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "pilot_h": [0.25]},
+      "pilot_h has 1 axes, expected 2"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "pilot_h": [0.3, 0.3, 0.3]},
+      "pilot_h has 3 axes, expected 2"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "pilot_h": []},
+      "pilot_h has 0 axes, expected 2"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "taper_b": [2.0, 2.0],
+              "variance_h": [0.3]},
+      "variance_h has 1 axes, expected 2"),
+     ("two-sample", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0], "variance_h": [0.3]},
+      "variance_h has 1 axes, expected 2")],
     ids=["fit-z", "fit-z_grid", "fit-tau", "two-sample-z", "two-sample-tau",
          "fit-taper_b-short", "fit-taper_b-long", "two-sample-taper_b-short",
-         "two-sample-taper_b-long"],
+         "two-sample-taper_b-long", "fit-h-short", "fit-h-long", "fit-pilot_h-short",
+         "fit-pilot_h-long", "fit-pilot_h-empty", "fit-variance_h",
+         "two-sample-variance_h"],
 )
 def test_point_and_level_are_config_errors(
     tmp_path, capsys, monkeypatch, sim_data, command, payload, named
 ):
-    """A z or taper_b of the wrong length, or a tau out of range, fails before any fit.
+    """A bandwidth, z or taper_b of the wrong length, or a tau out of range,
+    fails before any fit.
 
     two-sample checks both before it reads either data file.
     """

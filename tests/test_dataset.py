@@ -148,6 +148,14 @@ def test_load_csv_missing_region_header(tmp_path):
         ds.load_csv(path)
 
 
+@pytest.mark.parametrize("side", ["inf", "nan"])
+def test_load_csv_rejects_a_non_finite_side(tmp_path, side):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# A={side},10\nx1,x2,y\n0.0,0.0,1.0\n")
+    with pytest.raises(ValueError, match="side lengths must be finite and positive"):
+        ds.load_csv(path)
+
+
 def test_load_csv_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# A=2\nx1,y\n0.0,1.0\n0.5\n")

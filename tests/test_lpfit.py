@@ -340,6 +340,36 @@ def test_no_block_gemm_passes_the_budget(d, p):
 
 
 @st.composite
+def _strips(draw):
+    """(lo, hi) of sorted sites on a coarse grid, so ties are common, and
+    sorted centres whose reach may leave gaps between strips, or empty strips;
+    with same, the tapered sum's triangle cut."""
+    grid = st.integers(0, 40).map(lambda k: k / 4.0)
+    x = np.sort(draw(st.lists(grid, max_size=60)))
+    same = draw(st.booleans())
+    centres = x if same else np.sort(draw(st.lists(grid, max_size=40)))
+    lo, hi = lpfit.strips(x, centres, draw(st.sampled_from([0.0, 0.3, 1.0, 3.0, 20.0])))
+    if same:
+        lo = np.maximum(lo, np.arange(len(lo)))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strips(), st.integers(1, 400))
+def test_row_blocks_cut_each_run_at_the_pair_budget(strips, pairs):
+    lo, hi = strips
+    blocks = list(lpfit.row_blocks(lo, hi, pairs))
+    rows = [r for r0, r1, _, _ in blocks for r in range(r0, r1)]
+    assert rows == list(range(len(lo)))
+    for k, (r0, r1, c0, c1) in enumerate(blocks):
+        assert r1 > r0 and (c0, c1) == (lo[r0], hi[r1 - 1])
+        assert r1 - r0 == 1 or (r1 - r0) * (c1 - c0) <= pairs
+        if k + 1 < len(blocks):
+            # one more row would pass the budget
+            assert (r1 - r0 + 1) * (hi[r1] - lo[r0]) > pairs
+
+
+@st.composite
 def _edge_windows(draw):
     d = draw(st.integers(1, 3))
     family = draw(st.sampled_from(kernels.FAMILIES))
@@ -413,7 +443,12 @@ def test_window_weights_equal_the_dense_kernel(case):
     by_x1 = np.argsort(Z[:, 0], kind="stable")
     blocks = {}
     config = lpfit.FitConfig(p=1, kernel=kern, h=h)
-    for rows, pos in lpfit._blocks(data, config, Z[by_x1]):
+    lo, hi = lpfit.strips(
+        data.by_first_axis.columns[0], Av[0] * Z[by_x1, 0], lpfit._reach(data, kern, h)[0]
+    )
+    pairs = lpfit.BLOCK_MNK // lpfit._moment_columns(config)
+    for r0, r1, c0, c1 in lpfit.row_blocks(lo, hi, pairs):
+        rows, pos = slice(r0, r1), slice(c0, c1)
         W = lpfit._weigh(data, kern, h, Z[by_x1[rows]], pos)
         for r, w_r in zip(by_x1[rows], W):
             blocks[r] = (order[pos], w_r)

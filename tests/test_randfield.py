@@ -49,8 +49,8 @@ def test_covariance_is_isotropic():
 
 
 def test_field_variance():
-    model = randfield.car1(1.0, tau2=0.01, rho=2.0)
-    # rho * tau2 * pi / (2 lam^2) = 0.0314159...
+    model = randfield.car1(1.0, tau2=0.01)
+    # RHO * tau2 * pi / (2 lam^2) = 0.0314159...
     assert randfield.field_variance(model, Region(A=(10.0, 10.0))) == pytest.approx(
         0.01 * np.pi, rel=1e-12
     )
@@ -101,7 +101,7 @@ def test_compound_poisson_empirical_variance():
 
 
 def test_fixed_knot_count_sets_the_field_variance():
-    """800 knots on the doubled 20 x 20 region: intensity 800/1600 = 0.5, not rho."""
+    """800 knots on the doubled 20 x 20 region: intensity 800/1600 = 0.5, not RHO."""
     region = Region(A=(20.0, 20.0))
     model = randfield.car1(1.0, tau2=0.01, n_knots=800, buffer=2.0)
     target = randfield.field_variance(model, region)
