@@ -47,13 +47,14 @@ SECTION_KEYS = {
     "error": {"kind", "sigma2", "lambda", "tau2", "n_knots", "buffer"},
     "kernel": {"family", "C_K"},
 }
-# Keys holding one number per axis; z_grid holds one array of them per axis.
+# Keys holding one number per axis, positive but for z's; z_grid holds one
+# array of them per axis.
 AXIS_KEYS = {"A", "h", "fit_h", "pilot_h", "variance_h", "taper_b", "z"}
 # Keys holding one scalar, a section key written "section.key", and what each
 # must be. null asks for the default seed, a Poisson knot count, the automatic
 # knot margin or the error kind's sigma2.
 SCALAR_KEYS = {
-    "n": "an integer", "reps": "an integer", "p": "an integer", "d": "an integer",
+    "n": "an integer", "reps": "an integer", "p": "an integer >= 1", "d": "an integer",
     "master_seed": "an integer", "seed": "an integer or null",
     "error.n_knots": "an integer or null",
     "error.sigma2": "a number or null", "error.buffer": "a number or null",
@@ -77,6 +78,7 @@ def _is_integer(value) -> bool:
 
 _IS_KIND = {
     "an integer": _is_integer,
+    "an integer >= 1": lambda v: _is_integer(v) and v >= 1,
     "a number": lambda v: _is_numbers([v]),
     "a string": lambda v: isinstance(v, str),
 }
@@ -106,6 +108,8 @@ def _load_config(path, allowed: set) -> dict:
     for key in sorted(AXIS_KEYS & cfg.keys()):
         if not _is_numbers(cfg[key]):
             raise ConfigError(f"{path}: {key} must be a JSON array of numbers")
+        if key != "z" and min(cfg[key], default=1.0) <= 0.0:
+            raise ConfigError(f"{path}: {key} must be positive, got {cfg[key]}")
     for key, kind in sorted(SCALAR_KEYS.items()):
         section, _, name = key.rpartition(".")
         holder = (cfg.get(section) or {}) if section else cfg
@@ -286,13 +290,13 @@ TWO_SAMPLE_KEYS = {"p", "kernel", "h", "variance_h", "taper_b", "z", "idx", "tau
 def cmd_two_sample(args) -> int:
     cfg = _load_config(args.config, TWO_SAMPLE_KEYS)
     h = tuple(cfg["h"])
-    _check_axes(cfg, len(h), "one per entry of h")
     tau = _level(cfg, 0.5)
     ds1 = load_csv(args.data1)
     ds2 = load_csv(args.data2)
     if ds1.region != ds2.region:
         raise ConfigError("datasets declare different sampling regions")
     d = ds1.d
+    _check_axes(cfg, d, "one per axis of the data")
     kern = _kernel(cfg.get("kernel"), d)
     config = FitConfig(p=cfg.get("p", mc.ExperimentSpec.p), kernel=kern, h=h)
     z = np.asarray(cfg.get("z", (0.0,) * d), dtype=float)

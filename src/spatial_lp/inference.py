@@ -9,7 +9,6 @@ terms vanish identically).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -96,58 +95,36 @@ def residual_means_once(dataset: SpatialDataset, config: FitConfig):
     return mhat
 
 
-def _long_run_variance(windows, config: FitConfig, taper, An) -> float:
-    """A_n / (h_1...h_d kappa_0^(2)) sum_{a,b} u_a' Kbar(X_a, X_b) u_b.
+def _long_run_variance(X, u, config: FitConfig, taper, An) -> float:
+    """A_n / (h_1...h_d kappa_0^(2)) sum_{i,j} u_i Kbar(X_i - X_j) u_j.
 
-    windows holds one (X_a, u_a) per sample, its rows ascending in first
-    coordinate. The taper is symmetric, so each pair of samples a < b, and
-    each pair of sites within a sample, is evaluated once and counted twice.
-    Every block of taper values lives in one buffer of at most TAPER_PAIRS
-    pairs, so memory stays bounded whatever the window sizes.
+    The rows of X ascend in first coordinate. The taper vanishes once
+    |X_i1 - X_j1| >= b_1, so row i meets only the columns of its first-axis
+    strip; a block of rows meets the union of their strips. The taper is
+    symmetric, so a block of rows r0..r1-1 takes only the columns from r0 on
+    and counts those from r1 on twice: each unordered pair is evaluated
+    once. Every block of taper values lives in one buffer of at most
+    TAPER_PAIRS pairs, so memory stays bounded whatever the window size, and
+    slices the taper operands built once for the whole window.
     """
-    m = max(len(u) for _, u in windows)
-    # a block holds at least one row, whose strip has at most m columns
-    buf = np.empty((2, min(max(TAPER_PAIRS, m), m * m)))
-    s = 0.0
-    for a, (Xa, ua) in enumerate(windows):
-        for b, (Xb, ub) in enumerate(windows[a:], start=a):
-            term = _taper_sum(taper, Xa, ua, Xb, ub, a == b, buf)
-            s += term if a == b else 2.0 * term
-    return An / (float(np.prod(config.h)) * kernels.kappa0_r2(config.kernel)) * s
-
-
-def _taper_sum(taper, X, u, Y, v, same: bool, buf: np.ndarray) -> float:
-    """u' Kbar(X, Y) v over the pairs the taper can weigh, in row blocks.
-
-    The taper vanishes once |X_i1 - Y_j1| >= b_1, and the rows of X and Y
-    ascend in first coordinate, so row i meets only the columns of its
-    first-axis strip; a block of rows meets the union of their strips. A
-    block ends before rows x strip would pass the buffer's pairs. With same
-    (X is Y and u is v), a block of rows r0..r1-1 takes only the columns
-    from r0 on and counts those from r1 on twice, so each unordered pair is
-    evaluated once.
-    """
-    b1 = taper.widths[0]
+    m = len(u)
+    x = X[:, 0] / taper.widths[0]
     # one b_1 plus STRIP_PAD: far more than the rounding in a scaled
     # difference, so every pair of positive weight lies in its row's strip
-    lo, hi = lpfit.strips(Y[:, 0] / b1, X[:, 0] / b1, 1.0 + lpfit.STRIP_PAD)
-    if same:
-        lo = np.maximum(lo, np.arange(len(lo)))
+    lo, hi = lpfit.strips(x, x, 1.0 + lpfit.STRIP_PAD)
+    lo = np.maximum(lo, np.arange(m))
+    # a block holds at least one row, whose strip has at most m columns
+    buf = np.empty((2, min(max(TAPER_PAIRS, m), m * m)))
+    left, right = kernels.taper_operands(taper, X)
     s = 0.0
     for r0, r1, c0, c1 in lpfit.row_blocks(lo, hi, buf.shape[1]):
-        shape = (r1 - r0, c1 - c0)
-        K = kernels.eval_taper_pairs(
-            taper, X[r0:r1], Y[c0:c1],
-            out=buf[0, : shape[0] * shape[1]].reshape(shape),
-            work=buf[1, : shape[0] * shape[1]].reshape(shape),
-        )
-        if same:
-            Kv = K[:, : shape[0]] @ v[r0:r1]
-            Kv += K[:, shape[0]:] @ (2.0 * v[r1:c1])
-        else:
-            Kv = K @ v[c0:c1]
-        s += float(u[r0:r1] @ Kv)
-    return s
+        rows, cols = r1 - r0, c1 - c0
+        out, work = (part[: rows * cols].reshape(rows, cols) for part in buf)
+        K = kernels.taper_block(left[:, r0:r1], right[:, :, c0:c1], out, work)
+        Ku = K[:, :rows] @ u[r0:r1]
+        Ku += K[:, rows:] @ (2.0 * u[r1:c1])
+        s += float(u[r0:r1] @ Ku)
+    return An / (float(np.prod(config.h)) * kernels.kappa0_r2(config.kernel)) * s
 
 
 def variance_hat(
@@ -165,7 +142,7 @@ def variance_hat(
     """
     z = np.asarray(z, dtype=float)
     g, X, u = _window(dataset, config, z, mhat)
-    W = _long_run_variance([(X, u)], config, taper, dataset.region.volume)
+    W = _long_run_variance(X, u, config, taper, dataset.region.volume)
     return VarianceEstimate(g_hat=g, W_hat=W)
 
 
@@ -200,18 +177,19 @@ def two_sample_variance(
 
     It equals (V1/g1^2 + V2/g2^2 - 2 V3/(g1 g2)) / kappa_0^(2) with the
     within-sample sums V1, V2 and the cross-sample sum V3. Each sample's
-    window and residuals are those of variance_hat.
+    window and residuals are those of variance_hat. The radial Bartlett
+    taper is not positive definite in d >= 2, so V_check may be negative:
+    it is returned unclamped, and two_sample_test reads V <= 0 as
+    inconclusive.
     """
     if ds1.region != ds2.region:
         raise ValueError("both samples must share one sampling region")
     z = np.asarray(z, dtype=float)
     _, X1, u1 = _window(ds1, config, z, mhat1)
     _, X2, u2 = _window(ds2, config, z, mhat2)
-    V = _long_run_variance([(X1, u1), (X2, -u2)], config, taper, ds1.region.volume)
-    if V < 0.0:
-        warnings.warn("pooled two-sample variance negative; clamped to 0")
-        return 0.0
-    return V
+    X, u = np.concatenate([X1, X2]), np.concatenate([u1, -u2])
+    order = np.argsort(X[:, 0], kind="stable")
+    return _long_run_variance(X[order], u[order], config, taper, ds1.region.volume)
 
 
 def two_sample_test(

@@ -93,38 +93,47 @@ def eval_kernel_many(spec: KernelSpec, V: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_taper_pairs(
-    spec: TaperSpec,
-    X: np.ndarray,
-    Y: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Kbar(X_i - Y_j) = max(0, 1 - ||(X_i - Y_j) / b||) for every row pair.
+def taper_operands(spec: TaperSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right), the operands of taper_block for the (m, d) sites X.
 
-    X is (m1, d) and Y (m2, d). The squared differences of X / b and Y / b
-    are summed in axis order before the square root, as scipy's euclidean
-    cdist sums them, so the distances are cdist's to the bit. The result is
-    written to out, and work takes the squares of each axis past the first;
-    both are (m1, m2) arrays, allocated when None.
+    left[j, i] = [x, 1] and right[j, :, i] = [1, -x] with x = X_ij / b_j.
+    Built once per window, they are sliced by sites for each block of pairs.
     """
-    b = np.asarray(spec.widths, dtype=float)
-    Xb, Yb = X / b, Y / b
+    Xb = (X / np.asarray(spec.widths, dtype=float)).T
+    left, right = np.ones(Xb.shape + (2,)), np.ones((len(Xb), 2, Xb.shape[1]))
+    left[..., 0] = Xb
+    np.negative(Xb, out=right[:, 1])
+    return left, right
+
+
+def taper_block(left, right, out=None, work=None) -> np.ndarray:
+    """Kbar between the m1 sites X of left and the m2 sites Y of right.
+
+    The squared differences of X / b and Y / b are summed in axis order
+    before the square root, as scipy's euclidean cdist sums them, so the
+    distances are cdist's to the bit. The result is written to out, and work
+    takes the squares of each axis past the first; both are (m1, m2) arrays,
+    allocated when None.
+    """
     # x_i - y_j as the GEMM [x_i, 1] @ [1, -y_j]': both products are exact,
     # so its one rounding is the subtraction's. With inner dimension 2 it
     # outruns a broadcast subtract, and up to 2^17 pairs it is under the
     # size at which OpenBLAS wakes a worker thread
-    left, right = np.ones((len(Xb), 2)), np.ones((2, len(Yb)))
     K = None
-    for j in range(len(b)):
-        left[:, 0] = Xb[:, j]
-        np.negative(Yb[:, j], out=right[1])
-        D = np.matmul(left, right, out=out if K is None else work)
+    for j in range(len(left)):
+        D = np.matmul(left[j], right[j], out=out if K is None else work)
         np.multiply(D, D, out=D)
         K = D if K is None else np.add(K, D, out=K)
     np.sqrt(K, out=K)
     np.subtract(1.0, K, out=K)
     return np.maximum(K, 0.0, out=K)
+
+
+def eval_taper_pairs(spec: TaperSpec, X, Y, out=None, work=None) -> np.ndarray:
+    """Kbar(X_i - Y_j) = max(0, 1 - ||(X_i - Y_j) / b||) for every row pair,
+    X (m1, d) and Y (m2, d): taper_block on their operands."""
+    left, right = taper_operands(spec, X)[0], taper_operands(spec, Y)[1]
+    return taper_block(left, right, out, work)
 
 
 def _base_moment_1d(family: str, a: int, r: int) -> float:

@@ -13,7 +13,7 @@ import pytest
 
 from spatial_lp import cli, kernels, lpfit, mc
 from spatial_lp.dataset import Region, SpatialDataset, load_csv, save_csv
-from spatial_lp.inference import variance_hat
+from spatial_lp.inference import two_sample_variance, variance_hat
 
 
 def _write(path, payload):
@@ -430,6 +430,36 @@ def test_two_sample_region_mismatch(tmp_path, capsys):
         == 1
     )
     assert "region" in capsys.readouterr().err
+
+
+def test_two_sample_negative_pooled_form_is_inconclusive(tmp_path, capsys):
+    """The radial Bartlett taper is not positive definite in 2-D: at b = 2
+    its Fourier transform is negative near frequency 3.5. Both samples share
+    a 0.25-spaced lattice, with responses cos(3.5 x_1) and its negative, so
+    the pooled residual products follow that frequency and V_check < 0. It is
+    reported raw, with no warning, and the decision is inconclusive."""
+    step = np.arange(-4.875, 5.0, 0.25)
+    sites = np.array(np.meshgrid(step, step)).reshape(2, -1).T
+    region = Region(A=(10.0, 10.0))
+    paths = [tmp_path / "d1.csv", tmp_path / "d2.csv"]
+    for path, sign in zip(paths, (1.0, -1.0)):
+        save_csv(SpatialDataset(region, sites, sign * np.cos(3.5 * sites[:, 0])), path)
+    cfg = _write(tmp_path / "ts.json", {"h": [0.45, 0.45], "taper_b": [2.0, 2.0]})
+    out = tmp_path / "o"
+    argv = ["two-sample", "--config", cfg, "--data1", str(paths[0]),
+            "--data2", str(paths[1]), "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    config = lpfit.FitConfig(
+        p=1, kernel=kernels.KernelSpec("product-triangular", d=2), h=(0.45, 0.45)
+    )
+    V = two_sample_variance(
+        *map(load_csv, paths), config, kernels.TaperSpec((2.0, 2.0)), np.zeros(2)
+    )
+    assert V < 0.0 and report["V_check"] == V
+    assert report["decision"] == "inconclusive"
 
 
 def _beta(alpha, beta):
@@ -869,35 +899,59 @@ def test_two_sample_index_is_checked_before_any_fit(
               "variance_h": [0.3]},
       "variance_h has 1 axes, expected 2"),
      ("two-sample", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0], "variance_h": [0.3]},
-      "variance_h has 1 axes, expected 2")],
+      "variance_h has 1 axes, expected 2"),
+     ("two-sample", {"h": [0.3, 0.3, 0.3], "taper_b": [2.0, 2.0, 2.0],
+                     "z": [0.0, 0.0, 0.0]},
+      "h has 3 axes, expected 2"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "pilot_h": [0.25, -0.1]},
+      "pilot_h must be positive"),
+     ("fit", {"p": 0, "h": [0.25, 0.25], "z": [0.0, 0.0]},
+      "p must be an integer >= 1, got 0"),
+     ("fit", {"h": [0.25, 0.0], "z": [0.0, 0.0]}, "h must be positive"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "taper_b": [2.0, 2.0],
+              "variance_h": [0.3, -0.3]},
+      "variance_h must be positive"),
+     ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "taper_b": [2.0, 0.0]},
+      "taper_b must be positive"),
+     ("two-sample", {"h": [-0.3, 0.3], "taper_b": [2.0, 2.0]}, "h must be positive"),
+     ("two-sample", {"h": [0.3, 0.3], "taper_b": [2.0, 2.0], "variance_h": [0.0, 0.3]},
+      "variance_h must be positive"),
+     ("two-sample", {"h": [0.3, 0.3], "taper_b": [-2.0, 2.0]},
+      "taper_b must be positive"),
+     ("mc", {"reps": 3, "n": 300, "A": [10.0, 10.0], "p": 0},
+      "p must be an integer >= 1, got 0")],
     ids=["fit-z", "fit-z_grid", "fit-tau", "two-sample-z", "two-sample-tau",
          "fit-taper_b-short", "fit-taper_b-long", "two-sample-taper_b-short",
          "two-sample-taper_b-long", "fit-h-short", "fit-h-long", "fit-pilot_h-short",
          "fit-pilot_h-long", "fit-pilot_h-empty", "fit-variance_h",
-         "two-sample-variance_h"],
+         "two-sample-variance_h", "two-sample-three-axes-on-2d", "fit-pilot_h-negative",
+         "fit-p-zero", "fit-h-zero", "fit-variance_h-negative", "fit-taper_b-zero",
+         "two-sample-h-negative", "two-sample-variance_h-zero",
+         "two-sample-taper_b-negative", "mc-p-zero"],
 )
 def test_point_and_level_are_config_errors(
     tmp_path, capsys, monkeypatch, sim_data, command, payload, named
 ):
-    """A bandwidth, z or taper_b of the wrong length, or a tau out of range,
-    fails before any fit.
+    """A bandwidth, z or taper_b of the wrong length, a non-positive
+    bandwidth or taper width, an order p below 1, or a tau out of range
+    fails before any fit or draw, naming its key.
 
-    two-sample checks both before it reads either data file.
+    two-sample checks its axis keys against the dimension of the data.
     """
-    fits, reads = [], []
+    fits = []
     monkeypatch.setattr(cli, "fit_at", lambda *args: fits.append(args))
-    if command == "two-sample":
-        monkeypatch.setattr(cli, "load_csv", lambda path: reads.append(path))
+    monkeypatch.setattr(mc, "draw_dataset", lambda *args: fits.append(args))
     cfg = _write(tmp_path / "cfg.json", payload)
     argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
-    for flag in {"fit": ("--data",), "two-sample": ("--data1", "--data2")}[command]:
+    flags = {"fit": ("--data",), "two-sample": ("--data1", "--data2"), "mc": ()}
+    for flag in flags[command]:
         argv += [flag, str(sim_data)]
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and named in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-    assert not fits and not reads
+    assert not fits
     assert not (tmp_path / "o").exists()
 
 

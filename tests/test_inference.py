@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -198,7 +197,8 @@ def _window_sets(draw):
 @settings(max_examples=100, deadline=None)
 @given(_window_sets())
 def test_blocked_taper_sum_equals_dense_double_sum(case):
-    """The strip-limited, blocked, one-triangle sum is the dense cdist sum.
+    """The strip-limited, blocked, one-triangle sum over the pooled windows is
+    the dense cdist sum.
 
     b runs from 0.1 to past the window's width of 5; the pair budget runs
     from one pair to the default, so blocks range from one row to all. The
@@ -209,8 +209,11 @@ def test_blocked_taper_sum_equals_dense_double_sum(case):
         p=1, kernel=kernels.KernelSpec(family="product-triangular", d=d), h=(0.25,) * d
     )
     taper = kernels.TaperSpec(widths=b)
+    X = np.concatenate([Xa for Xa, _ in windows])
+    u = np.concatenate([ua for _, ua in windows])
+    order = np.argsort(X[:, 0], kind="stable")
     with mock.patch.object(inference, "TAPER_PAIRS", pairs):
-        got = inference._long_run_variance(windows, config, taper, 1.0)
+        got = inference._long_run_variance(X[order], u[order], config, taper, 1.0)
     scale = float(np.prod(config.h)) * kernels.kappa0_r2(config.kernel)
     dense = magnitude = 0.0
     bb = np.asarray(b)
@@ -321,11 +324,9 @@ def test_two_sample_variance_identical_samples_is_zero():
     data = _dataset(300, 4)
     taper = kernels.TaperSpec(widths=(8.0, 8.0))
     mhat = lambda z: 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        V = inference.two_sample_variance(
-            data, data, _config((0.25, 0.25)), taper, np.zeros(2), mhat, mhat
-        )
+    V = inference.two_sample_variance(
+        data, data, _config((0.25, 0.25)), taper, np.zeros(2), mhat, mhat
+    )
     assert V == pytest.approx(0.0, abs=1e-12)
 
 
@@ -351,14 +352,12 @@ def _sample_pairs(draw):
     return d, n1, n2, h, b, z, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_sample_pairs())
-def test_two_sample_variance_is_the_three_term_form(pair):
-    """V_check = (V1/g1^2 + V2/g2^2 - 2 V3/(g1 g2)) / kappa_0^(2), clamped at 0.
+def _two_samples(pair):
+    """Two samples of the pair, their mhats, kernel and taper, and the three
+    terms of V_check times kappa_0^(2): V1/g1^2, V2/g2^2, -2 V3/(g1 g2).
 
     V1, V2 are the within-sample tapered sums, V3 the cross-sample one,
-    each scaled by A_n / (n_a n_b h_1...h_d). The tolerance is relative to
-    the sum of the terms' magnitudes, which bounds any cancellation.
+    each scaled by A_n / (n_a n_b h_1...h_d).
     """
     d, n1, n2, h, b, z, seed = pair
     rng = np.random.default_rng(seed)
@@ -393,14 +392,34 @@ def test_two_sample_variance_is_the_three_term_form(pair):
 
     g1, g2 = gs
     terms = [V(0, 0) / g1**2, V(1, 1) / g2**2, -2.0 * V(0, 1) / (g1 * g2)]
-    expected = max(sum(terms), 0.0) / kernels.kappa0_r2(kern)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        got = inference.two_sample_variance(
-            *samples, _config(h, kern), taper, np.asarray(z), *mhats
-        )
-    scale = sum(abs(t) for t in terms) / kernels.kappa0_r2(kern)
-    assert abs(got - expected) <= 1e-12 * scale
+    return samples, mhats, _config(h, kern), taper, np.asarray(z), terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sample_pairs())
+def test_two_sample_variance_is_the_three_term_form(pair):
+    """V_check = (V1/g1^2 + V2/g2^2 - 2 V3/(g1 g2)) / kappa_0^(2), unclamped.
+
+    The tolerance is relative to the sum of the terms' magnitudes, which
+    bounds any cancellation.
+    """
+    samples, mhats, config, taper, z, terms = _two_samples(pair)
+    kappa = kernels.kappa0_r2(config.kernel)
+    got = inference.two_sample_variance(*samples, config, taper, z, *mhats)
+    scale = sum(abs(t) for t in terms) / kappa
+    assert abs(got - sum(terms) / kappa) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sample_pairs())
+def test_two_sample_variance_is_symmetric_in_the_samples(pair):
+    """Swapping the samples negates every u_i of the pooled window, which
+    leaves its quadratic form unchanged up to rounding."""
+    samples, mhats, config, taper, z, terms = _two_samples(pair)
+    V12 = inference.two_sample_variance(*samples, config, taper, z, *mhats)
+    V21 = inference.two_sample_variance(*samples[::-1], config, taper, z, *mhats[::-1])
+    scale = sum(abs(t) for t in terms) / kernels.kappa0_r2(config.kernel)
+    assert abs(V12 - V21) <= 1e-12 * scale
 
 
 def test_two_sample_variance_fits_each_window_residual_once(monkeypatch):
