@@ -152,6 +152,7 @@ def confidence_interval(
     """Normal confidence interval for a derivative of the mean, W the variance factor.
 
     Bias-corrected by estimate_bias's vector for fit.config unless bias is None.
+    A W that leaves no positive variance raises lpfit.NonPositiveVariance.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("level tau must be in (0, 1)")
@@ -160,7 +161,7 @@ def confidence_interval(
     if bias is not None:
         center -= derivative_bias(fit.config, idx, bias)
     var = derivative_variance(fit.config, idx, W, fit.An)
-    hw = normal_quantile(1.0 - tau / 2.0) * np.sqrt(max(var, 0.0))
+    hw = normal_quantile(1.0 - tau / 2.0) * np.sqrt(var)
     return (center - hw, center + hw)
 
 

@@ -85,14 +85,6 @@ def eval_kernel_axis(
     return np.divide(_base_1d(spec.family, v, out=v), C, out=v)
 
 
-def eval_kernel_many(spec: KernelSpec, V: np.ndarray) -> np.ndarray:
-    """Kernel values for an (n, d) array of points."""
-    out = eval_kernel_axis(spec, V[:, 0])
-    for j in range(1, V.shape[1]):
-        out = out * eval_kernel_axis(spec, V[:, j])
-    return out
-
-
 def taper_operands(spec: TaperSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(left, right), the operands of taper_block for the (m, d) sites X.
 
@@ -127,13 +119,6 @@ def taper_block(left, right, out=None, work=None) -> np.ndarray:
     np.sqrt(K, out=K)
     np.subtract(1.0, K, out=K)
     return np.maximum(K, 0.0, out=K)
-
-
-def eval_taper_pairs(spec: TaperSpec, X, Y, out=None, work=None) -> np.ndarray:
-    """Kbar(X_i - Y_j) = max(0, 1 - ||(X_i - Y_j) / b||) for every row pair,
-    X (m1, d) and Y (m2, d): taper_block on their operands."""
-    left, right = taper_operands(spec, X)[0], taper_operands(spec, Y)[1]
-    return taper_block(left, right, out, work)
 
 
 def _base_moment_1d(family: str, a: int, r: int) -> float:

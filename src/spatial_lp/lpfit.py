@@ -42,6 +42,10 @@ class RankDeficient(FitError):
     """Weighted normal equations singular to working precision."""
 
 
+class NonPositiveVariance(FitError):
+    """A plug-in variance that is not positive, such as one from W_hat <= 0."""
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Fit configuration: order, kernel, bandwidths (rescaled units)."""
@@ -445,10 +449,15 @@ def derivative_bias(config: FitConfig, idx, bias_vec: np.ndarray) -> float:
 def derivative_variance(config: FitConfig, idx, W: float, An: float) -> float:
     """Plug-in variance of a derivative estimate with long-run variance factor W.
 
-    W s!^2 [S^{-1} Kcal S^{-1}]_kk / (A_n prod_j h_j prod_l h_{j_l}^2).
+    W s!^2 [S^{-1} Kcal S^{-1}]_kk / (A_n prod_j h_j prod_l h_{j_l}^2). The
+    radial Bartlett taper allows W <= 0 in d >= 2; a variance that is not
+    positive, NaN included, raises NonPositiveVariance.
     """
     idx = tuple(idx)
     k = config.layout().position(idx)
     scale = basis.derivative_scale(idx, config.h)
     sks = config.moments().sks()
-    return float(W * scale**2 * sks[k, k] / (An * float(np.prod(config.h))))
+    var = float(W * scale**2 * sks[k, k] / (An * float(np.prod(config.h))))
+    if not var > 0.0:
+        raise NonPositiveVariance(f"variance {var:g} of index {idx} at W = {W:g}")
+    return var

@@ -141,7 +141,7 @@ class ErrorCase:
     def field_model(self) -> FieldModel | None:
         if self.kind == "iid":
             return None
-        return randfield.car1(
+        return FieldModel(
             self.lam, tau2=self.tau2, n_knots=self.n_knots, buffer=self.buffer
         )
 

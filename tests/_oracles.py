@@ -3,14 +3,18 @@
 Everything here is deliberately written against the mathematical
 definitions (numerical quadrature, bisection) rather than reusing the
 closed forms in the package, so agreement is evidence of correctness.
+The closed forms kept here, the exponential kernel's self-convolution and
+the field variance, are checked against quadrature in turn
+(`conv_exponential_2d`, `exponential_self_convolution`).
 """
 
 import math
 
 import numpy as np
+from scipy import special
 from scipy.spatial import distance
 
-from spatial_lp import kernels
+from spatial_lp import kernels, randfield
 
 # 64-node Gauss-Legendre rule, exact for polynomials up to degree 127.
 # The kernels are only piecewise polynomial (corner at 0), so every axis
@@ -35,6 +39,20 @@ def quad_moment_1d(spec: kernels.KernelSpec, a: int, r: int) -> float:
     return float(np.sum(w * u**a * k**r))
 
 
+def kernel_values(spec: kernels.KernelSpec, V: np.ndarray) -> np.ndarray:
+    """Product-kernel values for an (n, d) array of points, axis by axis."""
+    out = kernels.eval_kernel_axis(spec, V[:, 0])
+    for j in range(1, V.shape[1]):
+        out = out * kernels.eval_kernel_axis(spec, V[:, j])
+    return out
+
+
+def taper_pairs(spec: kernels.TaperSpec, X, Y, out=None, work=None) -> np.ndarray:
+    """Kbar(X_i - Y_j) for every row pair of X (m1, d) and Y (m2, d), one block."""
+    left, right = kernels.taper_operands(spec, X)[0], kernels.taper_operands(spec, Y)[1]
+    return kernels.taper_block(left, right, out, work)
+
+
 def quad_moment_matrices(spec: kernels.KernelSpec, layout):
     """S, Kcal, B for a basis layout, via tensor-product quadrature.
 
@@ -52,7 +70,7 @@ def quad_moment_matrices(spec: kernels.KernelSpec, layout):
     for m in wmesh:
         wprod = wprod * m.ravel()
 
-    K = kernels.eval_kernel_many(spec, pts)
+    K = kernel_values(spec, pts)
     counts = layout.counts_matrix()
     top_counts = layout.counts_matrix(top=True)
 
@@ -93,6 +111,35 @@ def conv_exponential_2d(r1: float, t: float, grid: int = 400, span: float = 20.0
     f = np.exp(-r1 * np.sqrt(X**2 + Y**2))
     g = np.exp(-r1 * np.sqrt((X - t) ** 2 + Y**2))
     return float((f * g).sum() * step * step)
+
+
+def covariance_exponential(lam: float, x) -> float:
+    """(phi * phi)(x) for phi(u) = exp(-lam ||u||), per unit measure variance.
+
+    Closed forms: d=1 gives e^{-lam t}(t + 1/lam); d=2 gives
+    pi t^2 K_2(lam t) / 4 with value pi / (2 lam^2) at t = 0.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = float(np.linalg.norm(x))
+    if x.size == 1:
+        return math.exp(-lam * t) * (t + 1.0 / lam)
+    if x.size == 2:
+        if t == 0.0:
+            return math.pi / (2.0 * lam * lam)
+        return math.pi * t * t * float(special.kv(2, lam * t)) / 4.0
+    raise ValueError(f"exponential-kernel covariance unsupported for d={x.size}")
+
+
+def field_variance(model: randfield.FieldModel, region) -> float:
+    """Stationary variance of the field simulated on region (lag-0 covariance).
+
+    The knot intensity is RHO, or a fixed n_knots over the knot region's volume.
+    """
+    intensity = randfield.RHO
+    if model.n_knots is not None:
+        volume = float(np.prod(2.0 * randfield._knot_halfwidths(model, region)))
+        intensity = model.n_knots / volume
+    return intensity * model.tau2 * covariance_exponential(model.lam, np.zeros(region.d))
 
 
 # --- conditional moments of the normalized-intercept statistic --------------

@@ -31,7 +31,12 @@ from spatial_lp.dataset import (
     rep_rng,
 )
 
-from _oracles import InterceptOracle, quad_moment_matrices
+from _oracles import (
+    InterceptOracle,
+    covariance_exponential,
+    field_variance,
+    quad_moment_matrices,
+)
 
 KERN2 = kernels.KernelSpec(family="product-triangular", d=2)
 UNIFORM = SamplingDensity("uniform")
@@ -247,7 +252,7 @@ def test_acceptance_4_field_covariance():
 
     checks = []
     for lam in (0.5, 1.0):
-        model = randfield.car1(lam, tau2=0.01, n_knots=None, buffer=2.0)
+        model = randfield.FieldModel(lam, tau2=0.01, n_knots=None, buffer=2.0)
         prods = {t: [] for t in lags}
         for rep in range(200):
             e = randfield.simulate_field(
@@ -259,9 +264,7 @@ def test_acceptance_4_field_covariance():
                 prods[t].append(np.mean(eb * e[(k + 1) * nb : (k + 2) * nb]))
         for t in lags:
             vals = np.asarray(prods[t])
-            target = 2.0 * 0.01 * randfield.covariance_exponential(
-                model, np.array([t, 0.0])
-            )
+            target = 2.0 * 0.01 * covariance_exponential(lam, np.array([t, 0.0]))
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             dev = abs(vals.mean() - target)
             checks.append(
@@ -271,7 +274,7 @@ def test_acceptance_4_field_covariance():
                     dev <= 3 * se,
                 )
             )
-    c0 = randfield.field_variance(randfield.car1(1.0, tau2=0.01), region)
+    c0 = field_variance(randfield.FieldModel(1.0, tau2=0.01), region)
     checks.append((f"lag-0 variance {c0:.4f} ~ 0.0314 for lam=1", abs(c0 - 0.0314) < 1e-3))
     _report(4, checks)
 

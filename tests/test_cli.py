@@ -432,18 +432,53 @@ def test_two_sample_region_mismatch(tmp_path, capsys):
     assert "region" in capsys.readouterr().err
 
 
+def _cos_lattice(sign: float) -> SpatialDataset:
+    """sign * cos(3.5 x_1) on the 0.25-spaced 40 x 40 lattice of A = (10, 10)."""
+    step = np.arange(-4.875, 5.0, 0.25)
+    sites = np.array(np.meshgrid(step, step)).reshape(2, -1).T
+    return SpatialDataset(Region(A=(10.0, 10.0)), sites, sign * np.cos(3.5 * sites[:, 0]))
+
+
+def test_fit_negative_W_hat_is_an_error_row(tmp_path):
+    """On the lattice of the test below, W_hat at the origin is negative, so
+    the interval has no variance: the point's row names NonPositiveVariance,
+    with no estimate and no interval, and the run still succeeds."""
+    data = tmp_path / "d.csv"
+    save_csv(_cos_lattice(1.0), data)
+    cfg = _write(tmp_path / "fit.json",
+                 {"h": [0.45, 0.45], "taper_b": [2.0, 2.0], "z": [0.0, 0.0]})
+    out = tmp_path / "o"
+    assert cli.main(["fit", "--config", cfg, "--data", str(data), "--out", str(out)]) == 0
+    with (out / "fits.csv").open() as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 1
+    assert rows[0]["error"].startswith("NonPositiveVariance: ")
+    assert rows[0]["ci_lo"] == rows[0]["ci_hi"] == rows[0]["estimate"] == ""
+
+
+def test_mc_zero_variance_fails_every_replication(tmp_path, capsys):
+    """A constant mean with no noise leaves W_hat = 0 in every replication:
+    each fails as NonPositiveVariance, and the run ends with rc 2 and no
+    summary, not with a -inf t_hat that strict JSON cannot hold."""
+    path = Path(mc.__file__).parent / "configs" / "table1_case_i.json"
+    base = json.loads(path.read_text())
+    cfg = _write(tmp_path / "mc.json", {**base, "reps": 4, "mean": "1.0",
+                                        "error": {"kind": "iid", "sigma2": 0.0}})
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "all 4 replications failed; the first: NonPositiveVariance: " in err
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
 def test_two_sample_negative_pooled_form_is_inconclusive(tmp_path, capsys):
     """The radial Bartlett taper is not positive definite in 2-D: at b = 2
     its Fourier transform is negative near frequency 3.5. Both samples share
     a 0.25-spaced lattice, with responses cos(3.5 x_1) and its negative, so
     the pooled residual products follow that frequency and V_check < 0. It is
     reported raw, with no warning, and the decision is inconclusive."""
-    step = np.arange(-4.875, 5.0, 0.25)
-    sites = np.array(np.meshgrid(step, step)).reshape(2, -1).T
-    region = Region(A=(10.0, 10.0))
     paths = [tmp_path / "d1.csv", tmp_path / "d2.csv"]
     for path, sign in zip(paths, (1.0, -1.0)):
-        save_csv(SpatialDataset(region, sites, sign * np.cos(3.5 * sites[:, 0])), path)
+        save_csv(_cos_lattice(sign), path)
     cfg = _write(tmp_path / "ts.json", {"h": [0.45, 0.45], "taper_b": [2.0, 2.0]})
     out = tmp_path / "o"
     argv = ["two-sample", "--config", cfg, "--data1", str(paths[0]),

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 from spatial_lp import basis, inference, kernels, lpfit
 from spatial_lp.dataset import Region, SpatialDataset, save_csv
 
-from _oracles import bisect_normal_quantile
+from _oracles import bisect_normal_quantile, kernel_values, taper_pairs
 
 KERN = kernels.KernelSpec(family="product-triangular", d=2)
 MOM = kernels.moment_matrices(KERN, basis.build_layout(2, 1))
@@ -101,7 +101,7 @@ def test_vanishing_taper_keeps_only_diagonal():
     est = inference.variance_hat(data, _config(h), taper, z, mhat)
 
     A = data.region.sides()
-    w = kernels.eval_kernel_many(KERN, (data.sites - A * z) / (A * np.asarray(h)))
+    w = kernel_values(KERN, (data.sites - A * z) / (A * np.asarray(h)))
     direct = float(np.sum((w * data.responses) ** 2))
     g = w.sum() / (data.n * 0.0625)
     expected_W1 = data.region.volume / (data.n**2 * 0.0625) * direct
@@ -167,7 +167,7 @@ def test_W_hat_nonnegative_when_taper_matrix_is_psd(window):
         _, X, _ = inference._window(data, config, z, mhat)
     except inference.DegenerateWindow:
         assume(False)
-    eig = np.linalg.eigvalsh(kernels.eval_taper_pairs(taper, X, X))
+    eig = np.linalg.eigvalsh(taper_pairs(taper, X, X))
     assume(eig.min() >= -1e-12 * eig.max())
     est = inference.variance_hat(data, config, taper, z, mhat)
     assert est.W_hat >= 0.0
@@ -378,7 +378,7 @@ def _two_samples(pair):
     gs, wins = [], []
     A = region.sides()
     for data, mhat in zip(samples, mhats):
-        w = kernels.eval_kernel_many(kern, (data.sites - A * z) / (A * np.asarray(h)))
+        w = kernel_values(kern, (data.sites - A * z) / (A * np.asarray(h)))
         act = w > 0
         gs.append(w.sum() / (data.n * hv))
         res = data.responses[act] - mhat(data.sites[act] / data.region.sides())
@@ -387,7 +387,7 @@ def _two_samples(pair):
 
     def V(i, j):
         (Xi, wri), (Xj, wrj) = wins[i], wins[j]
-        s = wri @ kernels.eval_taper_pairs(taper, Xi, Xj) @ wrj
+        s = wri @ taper_pairs(taper, Xi, Xj) @ wrj
         return An / (samples[i].n * samples[j].n * hv) * s
 
     g1, g2 = gs

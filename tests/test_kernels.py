@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 
 from spatial_lp import basis, kernels
 
-from _oracles import quad_moment_1d, quad_moment_matrices
+from _oracles import kernel_values, quad_moment_1d, quad_moment_matrices, taper_pairs
 
 
 # --- evaluation ---------------------------------------------------------
@@ -32,7 +32,7 @@ def test_triangular_values():
     spec = kernels.KernelSpec(family="product-triangular", d=2)
     V = np.array([(0.0, 0.0), (0.5, 0.5), (1.0, 0.3), (-1.2, 0.0)])
     np.testing.assert_array_equal(
-        kernels.eval_kernel_many(spec, V), [1.0, 0.25, 0.0, 0.0]
+        kernel_values(spec, V), [1.0, 0.25, 0.0, 0.0]
     )
 
 
@@ -42,8 +42,8 @@ def test_support_halfwidth_rescaling():
         family="product-epanechnikov", support_halfwidth=2.0, d=2
     )
     v = np.array([[0.6, -0.8]])
-    assert kernels.eval_kernel_many(wide, v)[0] == pytest.approx(
-        kernels.eval_kernel_many(base, v / 2.0)[0] / 4.0
+    assert kernel_values(wide, v)[0] == pytest.approx(
+        kernel_values(base, v / 2.0)[0] / 4.0
     )
 
 
@@ -62,7 +62,7 @@ def test_kernel_spec_validation():
 def _taper_at(taper, w):
     """Kbar(w): the taper between displacement w and the origin."""
     w = np.asarray(w, dtype=float)
-    return float(kernels.eval_taper_pairs(taper, w[None], np.zeros_like(w)[None])[0, 0])
+    return float(taper_pairs(taper, w[None], np.zeros_like(w)[None])[0, 0])
 
 
 def test_taper_values():
@@ -90,9 +90,9 @@ def test_taper_matches_cdist_bitwise(d, seed):
     taper = kernels.TaperSpec(widths=tuple(rng.uniform(0.05, 10.0, d)))
     b = np.asarray(taper.widths)
     expected = np.maximum(0.0, 1.0 - cdist(X / b, Y / b))
-    np.testing.assert_array_equal(kernels.eval_taper_pairs(taper, X, Y), expected)
+    np.testing.assert_array_equal(taper_pairs(taper, X, Y), expected)
     out, work = np.empty((2, len(X), len(Y)))
-    got = kernels.eval_taper_pairs(taper, X, Y, out=out, work=work)
+    got = taper_pairs(taper, X, Y, out=out, work=work)
     assert got is out
     np.testing.assert_array_equal(got, expected)
 

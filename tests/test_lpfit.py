@@ -202,6 +202,16 @@ def test_derivative_variance_closed_form():
         assert got == pytest.approx(want, rel=1e-12), idx
 
 
+@pytest.mark.parametrize("W", [0.0, -0.5, float("nan")])
+def test_derivative_variance_not_positive_raises(W):
+    """W <= 0, which the radial taper allows in d >= 2, and W = NaN raise."""
+    config = lpfit.FitConfig(
+        p=1, kernel=kernels.KernelSpec(family="product-triangular", d=2), h=(0.2, 0.3)
+    )
+    with pytest.raises(lpfit.NonPositiveVariance, match="at W = "):
+        lpfit.derivative_variance(config, (1,), W, 100.0)
+
+
 GRID_FAULT_PROBE = """
 import resource
 import numpy as np

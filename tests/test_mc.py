@@ -79,7 +79,7 @@ def test_error_case_field_model():
     assert mc.ErrorCase("iid", sigma2=1.0).field_model() is None
     model = mc.ErrorCase("car1", lam=0.5, tau2=0.0025).field_model()
     assert isinstance(model, randfield.FieldModel)
-    assert model.kernels == ((1.0, 0.5),)
+    assert model.lam == 0.5
     assert model.tau2 == 0.0025
     assert model.n_knots == 800
     with pytest.raises(ValueError):

@@ -8,10 +8,10 @@ exactly; these checks anchor the oracle used by acceptance criterion 1.
 import numpy as np
 import pytest
 
-from spatial_lp import inference, kernels, lpfit, mc, randfield
+from spatial_lp import inference, kernels, lpfit, mc
 from spatial_lp.dataset import SpatialDataset, generate_sites, rep_rng
 
-from _oracles import InterceptOracle, exponential_self_convolution
+from _oracles import InterceptOracle, covariance_exponential, exponential_self_convolution
 
 # error process of the bundled case (ii) config; the ExperimentSpec defaults
 # carry its bandwidths and taper
@@ -52,10 +52,9 @@ def _program_var0(spec, data) -> float:
 
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 def test_self_convolution_table_matches_closed_form(lam):
-    model = randfield.car1(lam)
     t = np.array([0.0, 1e-3, 0.05, 0.5, 1.0, 2.5, 7.0, 14.0])
     got = exponential_self_convolution(lam, t)
-    want = [randfield.covariance_exponential(model, np.array([v, 0.0])) for v in t]
+    want = [covariance_exponential(lam, np.array([v, 0.0])) for v in t]
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
