@@ -27,7 +27,14 @@ from .inference import (
     two_sample_variance,
     variance_hat,
 )
-from .lpfit import FitConfig, FitError, derivative_bias, estimate_bias, fit_at
+from .lpfit import (
+    FitConfig,
+    FitError,
+    NonPositiveVariance,
+    derivative_bias,
+    estimate_bias,
+    fit_at,
+)
 
 
 class ConfigError(Exception):
@@ -218,22 +225,26 @@ def cmd_fit(args) -> int:
             fit = fit_at(dataset, config, zarr)
             bias = estimate_bias(dataset, config, zarr) if config.pilot_h else None
             if with_ci:
-                varest = variance_hat(dataset, res_cfg, taper, zarr, mhat)
-            for idx in fit.layout.indices:
-                row = {
-                    "z": zkey,
-                    "index": "".join(map(str, idx)),
-                    "estimate": fit.derivative(idx),
-                    "bias": "" if bias is None else derivative_bias(config, idx, bias),
-                    "boundary": int(fit.boundary_flag),
-                }
-                if with_ci:
-                    lo, hi = confidence_interval(fit, bias, varest.W_hat, idx, tau)
-                    row["W_hat"] = varest.W_hat
-                    row["ci_lo"], row["ci_hi"] = lo, hi
-                rows.append(row)
+                W = variance_hat(dataset, res_cfg, taper, zarr, mhat).W_hat
         except (FitError, ValueError) as exc:
             rows.append({"z": zkey, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        for idx in fit.layout.indices:
+            row = {
+                "z": zkey,
+                "index": "".join(map(str, idx)),
+                "estimate": fit.derivative(idx),
+                "bias": "" if bias is None else derivative_bias(config, idx, bias),
+                "boundary": int(fit.boundary_flag),
+            }
+            if with_ci:
+                row["W_hat"] = W
+                # a W_hat that leaves no positive variance voids only the interval
+                try:
+                    row["ci_lo"], row["ci_hi"] = confidence_interval(fit, bias, W, idx, tau)
+                except NonPositiveVariance as exc:
+                    row["error"] = f"{type(exc).__name__}: {exc}"
+            rows.append(row)
     fields = ["z", "index", "estimate", "bias", "boundary", "error"]
     if with_ci:
         fields += ["W_hat", "ci_lo", "ci_hi"]

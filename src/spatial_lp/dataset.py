@@ -7,7 +7,6 @@ the sites have density A_n^{-1} g(x / A_n).
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -19,6 +18,13 @@ import numpy as np
 GENERATOR_ID = "numpy-pcg64-seedseq-v1"
 
 BOUNDARY_TOL = 1e-9
+
+# rows of a data file formatted per write call, so the text and floats held
+# at once stay at a few hundred kB, whatever the file's length
+SAVE_ROWS = 1 << 10
+
+# characters a CSV writer would quote, which load_csv does not unquote
+_NEEDS_QUOTING = frozenset(',"\r\n')
 
 
 @dataclass(frozen=True)
@@ -215,23 +221,42 @@ class SpatialDataset:
 
 
 def save_csv(dataset: SpatialDataset, path) -> None:
-    """Write `# A=...` header comment, column header, then one row per site."""
+    """Write `# A=...` header comment, column header, then one row per site.
+
+    The two header lines end in LF and the rows in CRLF. Each value is
+    written as %.17g, which reads back as the same float; a group label
+    follows as a ,group suffix, as is. A label holding a comma, a double
+    quote, CR or LF is a ValueError naming its row, since load_csv cannot
+    read it back. Rows go out SAVE_ROWS at a time, one write each.
+    """
     path = Path(path)
     d = dataset.d
+    cols = [f"x{j + 1}" for j in range(d)] + ["y"]
+    row = ",".join(["%.17g"] * (d + 1))
+    labels = None
+    if dataset.group is not None:
+        labels = [str(g) for g in dataset.group]
+        for i, label in enumerate(labels):
+            if not _NEEDS_QUOTING.isdisjoint(label):
+                raise ValueError(
+                    f"group label at row {i} needs quoting, which load_csv "
+                    f"cannot read: {label!r}"
+                )
+        cols.append("group")
+        row += ",%s"
+    row += "\r\n"
     with path.open("w", newline="") as f:
         f.write("# A=" + ",".join(f"{a:.17g}" for a in dataset.region.A) + "\n")
-        cols = [f"x{j + 1}" for j in range(d)] + ["y"]
-        if dataset.group is not None:
-            cols.append("group")
         f.write(",".join(cols) + "\n")
-        w = csv.writer(f)
-        for i in range(dataset.n):
-            row = [f"{v:.17g}" for v in dataset.sites[i]] + [
-                f"{dataset.responses[i]:.17g}"
-            ]
-            if dataset.group is not None:
-                row.append(str(dataset.group[i]))
-            w.writerow(row)
+        for i in range(0, dataset.n, SAVE_ROWS):
+            chunk = slice(i, i + SAVE_ROWS)
+            values = np.column_stack(
+                (dataset.sites[chunk], dataset.responses[chunk])
+            ).tolist()
+            if labels is not None:
+                for v, label in zip(values, labels[chunk]):
+                    v.append(label)
+            f.write("".join([row % tuple(v) for v in values]))
 
 
 def _read_rows(rows: list[str], dtype: np.dtype) -> np.ndarray:

@@ -175,10 +175,22 @@ def _weigh(
     """
     srt = dataset.by_first_axis
     A = dataset.region.sides()
+    block = isinstance(pos, slice)
+    if block:
+        # X_ij - A_j z_j as the GEMM [1, -A_j z_j] @ [X_ij, 1]': both products
+        # are exact, so its one rounding is the subtraction's. On a block of
+        # rows it outruns a broadcast subtract; on one row's box it does not
+        left = np.ones((len(Z), 2))
+        right = np.ones((2, pos.stop - pos.start))
     W = None
     for j, hj in enumerate(h):
         dst = None if out is None else out[0 if W is None else 1]
-        u = np.subtract(srt.columns[j][pos], (A[j] * Z[:, j])[:, None], out=dst)
+        if block:
+            np.multiply(Z[:, j], -A[j], out=left[:, 1])
+            right[0] = srt.columns[j][pos]
+            u = np.matmul(left, right, out=dst)
+        else:
+            u = np.subtract(srt.columns[j][pos], (A[j] * Z[:, j])[:, None], out=dst)
         if t is not None:
             np.divide(u, A[j], out=t[j])
         np.divide(u, A[j] * hj, out=u)

@@ -15,7 +15,6 @@ import json
 import math
 import operator
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -335,6 +334,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentSummary:
     jobs = [(spec, r) for r in range(spec.reps)]
     workers = min(threads, spec.reps)
     if workers > 1:
+        # imported here: multiprocessing would add 10-15 ms to every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks every worker at its first submit
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_rep_worker, jobs, chunksize=8))

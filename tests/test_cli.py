@@ -1,5 +1,6 @@
 """End-to-end checks of the spatial-lp command line."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -38,6 +39,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, check=True, timeout=600,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only mc with several workers uses a process pool, so start-up does not
+    pay for importing multiprocessing."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spatial_lp.cli; "
+         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 NO_SCIPY_PROBE = """
@@ -441,8 +456,9 @@ def _cos_lattice(sign: float) -> SpatialDataset:
 
 def test_fit_negative_W_hat_is_an_error_row(tmp_path):
     """On the lattice of the test below, W_hat at the origin is negative, so
-    the interval has no variance: the point's row names NonPositiveVariance,
-    with no estimate and no interval, and the run still succeeds."""
+    the interval has no variance: each of the point's rows names
+    NonPositiveVariance and has no interval, but keeps the estimate, which
+    does not depend on W_hat, and the run still succeeds."""
     data = tmp_path / "d.csv"
     save_csv(_cos_lattice(1.0), data)
     cfg = _write(tmp_path / "fit.json",
@@ -451,9 +467,16 @@ def test_fit_negative_W_hat_is_an_error_row(tmp_path):
     assert cli.main(["fit", "--config", cfg, "--data", str(data), "--out", str(out)]) == 0
     with (out / "fits.csv").open() as f:
         rows = list(csv.DictReader(f))
-    assert len(rows) == 1
-    assert rows[0]["error"].startswith("NonPositiveVariance: ")
-    assert rows[0]["ci_lo"] == rows[0]["ci_hi"] == rows[0]["estimate"] == ""
+    config = lpfit.FitConfig(p=mc.ExperimentSpec.p, kernel=cli._kernel(None, 2),
+                             h=(0.45, 0.45))
+    fit = lpfit.fit_at(load_csv(data), config, np.zeros(2))
+    assert [float(row["estimate"]) for row in rows] == [
+        fit.derivative(idx) for idx in fit.layout.indices
+    ]
+    for row in rows:
+        assert row["error"].startswith("NonPositiveVariance: ")
+        assert row["ci_lo"] == row["ci_hi"] == ""
+        assert float(row["W_hat"]) < 0
 
 
 def test_mc_zero_variance_fails_every_replication(tmp_path, capsys):
@@ -711,7 +734,7 @@ class _RecordingPool:
     "threads, pool", [("-3", None), ("0", None), ("1", None), ("2", 2), ("64", 3)]
 )
 def test_mc_threads_bound_the_pool(tmp_path, monkeypatch, threads, pool):
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     cfg = _write(
         tmp_path / "mc.json", {"reps": 3, "n": 200, "A": [10.0, 10.0], "master_seed": 1}

@@ -1,5 +1,6 @@
 """Region, sampling densities, dataset container, and CSV round trips."""
 
+import csv
 import dataclasses
 import json
 import tempfile
@@ -139,6 +140,80 @@ def test_csv_round_trip_with_group(tmp_path):
     ds.save_csv(data, path)
     back = ds.load_csv(path)
     assert list(back.group) == ["a", "b"]
+
+
+def _reference_save_csv(dataset, path) -> None:
+    """The csv-module writer that fixed the file format: one value and one
+    csv.writer row at a time."""
+    d = dataset.d
+    with Path(path).open("w", newline="") as f:
+        f.write("# A=" + ",".join(f"{a:.17g}" for a in dataset.region.A) + "\n")
+        cols = [f"x{j + 1}" for j in range(d)] + ["y"]
+        if dataset.group is not None:
+            cols.append("group")
+        f.write(",".join(cols) + "\n")
+        w = csv.writer(f)
+        for i in range(dataset.n):
+            row = [f"{v:.17g}" for v in dataset.sites[i]] + [
+                f"{dataset.responses[i]:.17g}"
+            ]
+            if dataset.group is not None:
+                row.append(str(dataset.group[i]))
+            w.writerow(row)
+
+
+_EXTREMES = [1e300, -1e300, 5e-324, -5e-324, 0.0, -0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.sampled_from([1, 2, 7, ds.SAVE_ROWS - 1, ds.SAVE_ROWS, ds.SAVE_ROWS + 1]),
+    pool=st.lists(
+        st.one_of(st.sampled_from(_EXTREMES), st.floats(-1e300, 1e300)),
+        min_size=1, max_size=8,
+    ),
+    labels=st.none() | st.lists(st.text(alphabet="ab_- 0", max_size=4), min_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_save_csv_writes_the_reference_bytes(d, n, pool, labels, seed):
+    """save_csv's file equals the csv-module writer's byte for byte: LF
+    headers, CRLF rows, %.17g values, the group label as is. n runs up to
+    one row either side of a whole chunk."""
+    rng = np.random.default_rng(seed)
+    values = np.array(pool)[rng.integers(0, len(pool), (n, d + 1))]
+    A = tuple(max(2.0 * float(np.abs(values[:, j]).max()), 1.0) for j in range(d))
+    group = None if labels is None else np.array(labels)[rng.integers(0, len(labels), n)]
+    data = ds.SpatialDataset(ds.Region(A), values[:, :d], values[:, d], group=group)
+    with tempfile.TemporaryDirectory() as tmp:
+        ds.save_csv(data, Path(tmp) / "got.csv")
+        _reference_save_csv(data, Path(tmp) / "ref.csv")
+        got = (Path(tmp) / "got.csv").read_bytes()
+        assert got == (Path(tmp) / "ref.csv").read_bytes()
+        back = ds.load_csv(Path(tmp) / "got.csv")
+    assert back.sites.tobytes() == data.sites.tobytes()
+    assert back.responses.tobytes() == data.responses.tobytes()
+
+
+@pytest.mark.parametrize("label", ["a,b", 'q"x', "c\rd", "e\nf"])
+def test_save_csv_rejects_a_label_that_needs_quoting(tmp_path, label):
+    """A CSV writer would quote these labels, and load_csv does not unquote:
+    the quoted file reads back wrong or not at all. So save_csv names the row
+    and writes nothing."""
+    data = ds.SpatialDataset(
+        ds.Region(A=(2.0,)), [[0.5], [-0.25]], [1.0, 2.0], group=np.array(["ok", label])
+    )
+    quoted = tmp_path / "quoted.csv"
+    _reference_save_csv(data, quoted)
+    try:
+        back = ds.load_csv(quoted).group.tolist()
+    except ValueError:
+        back = None
+    assert back != ["ok", label]
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValueError, match=r"group label at row 1 needs quoting"):
+        ds.save_csv(data, path)
+    assert not path.exists()
 
 
 def test_load_csv_missing_region_header(tmp_path):
