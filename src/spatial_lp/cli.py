@@ -66,8 +66,7 @@ SCALAR_KEYS = {
     "error.n_knots": "an integer or null",
     "error.sigma2": "a number or null", "error.buffer": "a number or null",
     "error.lambda": "a number", "error.tau2": "a number", "kernel.C_K": "a number",
-    "mean_offset": "a number", "outlier_threshold": "a number",
-    "max_failure_fraction": "a number",
+    "outlier_threshold": "a number", "max_failure_fraction": "a number",
     "mean": "a string", "error.kind": "a string",
 }
 
@@ -257,7 +256,7 @@ def cmd_fit(args) -> int:
 
 
 MC_KEYS = {
-    "reps", "n", "A", "density", "mean", "mean_offset", "error", "p", "kernel",
+    "reps", "n", "A", "density", "mean", "error", "p", "kernel",
     "fit_h", "pilot_h", "variance_h", "taper_b", "z", "tau", "master_seed",
     "outlier_threshold", "max_failure_fraction",
 }

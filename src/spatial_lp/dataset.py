@@ -270,7 +270,7 @@ def _read_rows(rows: list[str], dtype: np.dtype) -> np.ndarray:
 def _first_bad_row(path, lines: list[str], rows: list[str], dtype, header, d) -> str:
     """Name the file line of the first row the reader rejects, and why.
 
-    lines are the body lines as read, rows the non-blank ones stripped. The
+    lines are the body lines as read, rows the non-blank ones. The
     reader accepts every prefix of rows that ends before the bad row, so a
     bisection over prefixes finds it.
     """
@@ -299,9 +299,10 @@ def _first_bad_row(path, lines: list[str], rows: list[str], dtype, header, d) ->
 def load_csv(path) -> SpatialDataset:
     """Read a file written by save_csv.
 
-    Blank and whitespace-only lines are skipped; spaces around a field are
-    ignored. A value the reader cannot parse as a float, or a row with the
-    wrong number of fields, is a ValueError naming its file line.
+    Blank and whitespace-only lines are skipped; spaces around a number are
+    ignored, and a group label reads back exactly as written. A value the
+    reader cannot parse as a float, or a row with the wrong number of
+    fields, is a ValueError naming its file line.
     """
     path = Path(path)
     with path.open() as f:
@@ -318,7 +319,7 @@ def load_csv(path) -> SpatialDataset:
         raise ValueError(f"{path}: header {header} does not match region d={d}")
     # text mode turns every line ending into "\n", so these are the file's lines
     lines = body.split("\n")
-    rows = [line for line in map(str.strip, lines) if line]
+    rows = [line for line in lines if line.strip()]
     dtype = np.dtype([("v", float, (d + 1,))] + ([("g", object)] if has_group else []))
     try:
         records = _read_rows(rows, dtype) if rows else np.empty(0, dtype)

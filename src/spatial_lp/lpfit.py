@@ -227,8 +227,7 @@ def fit_at(dataset: SpatialDataset, config: FitConfig, z) -> FitResult:
     Raises FitError on degenerate windows.
     """
     z = np.asarray(z, dtype=float)
-    _check_interior(z[None], config.d)
-    beta, n_eff = _fit_rows(dataset, config, z[None])
+    beta, n_eff = fit_many(dataset, config, z[None])
     ck = config.kernel.support_halfwidth
     boundary = bool(
         (np.abs(z) + ck * np.asarray(config.h) > 0.5).any()
@@ -252,20 +251,14 @@ def fit_many(dataset: SpatialDataset, config: FitConfig, Z):
     blocks whose moment GEMM stays under BLOCK_MNK multiply-adds, so memory
     stays bounded whatever m is; one batched solve then takes every row's
     normal equations.
-    """
-    Z = np.asarray(Z, dtype=float)
-    _check_interior(Z, config.d)
-    return _fit_rows(dataset, config, Z)
-
-
-def _fit_rows(dataset: SpatialDataset, config: FitConfig, Z: np.ndarray):
-    """fit_many's coefficients and n_eff, for rows already checked.
 
     A row of several whose system the condition certificate cannot clear is
     rebuilt over its box, as fit_at builds it, before the SVD rule decides:
     so every ridge and raise decision, and the coefficients of every row
     that takes the ridge, are those of its single fit.
     """
+    Z = np.asarray(Z, dtype=float)
+    _check_interior(Z, config.d)
     if len(Z) == 1:
         XWX, XWY, n_eff = _fit_box(dataset, config, Z[0])
         _check_counts(config, Z, n_eff)

@@ -35,6 +35,7 @@ from _oracles import (
     InterceptOracle,
     covariance_exponential,
     field_variance,
+    paper_mean,
     quad_moment_matrices,
 )
 
@@ -73,7 +74,7 @@ def _oracle_replications(spec: mc.ExperimentSpec, t_hat: dict) -> dict:
     )
     zpt = np.asarray(spec.z)
     mean_fn = mc.make_mean_function(spec.mean)
-    m_z = float(mean_fn(zpt[None, :])[0]) + spec.mean_offset
+    m_z = float(mean_fn(zpt[None, :])[0])
 
     rows = []
     for rep, t in t_hat.items():
@@ -86,7 +87,7 @@ def _oracle_replications(spec: mc.ExperimentSpec, t_hat: dict) -> dict:
             - lpfit.estimate_bias(data, config, zpt)[0]
             - m_z
         )
-        mu = mean_fn(sites / region.sides()) + spec.mean_offset
+        mu = mean_fn(sites / region.sides())
         mom = oracle.moments(sites, mu, m_z, y)
         rows.append(
             (N * N, mom["EN2"], (N / t) ** 2, mom["Evar0"], mom["misfit"], mom["t"] - t)
@@ -372,7 +373,7 @@ def test_acceptance_6_two_sample_size_and_power():
 def test_acceptance_7_uniform_rate_informative():
     grid_axis = np.linspace(-0.4, 0.4, 9)
     grid = [(z1, z2) for z1 in grid_axis for z2 in grid_axis]
-    mean_fn = mc.paper_mean
+    mean_fn = paper_mean
 
     medians = []
     for n in (500, 1000, 2000, 4000):

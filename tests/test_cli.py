@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spatial_lp import cli, kernels, lpfit, mc
+from spatial_lp import cli, inference, kernels, lpfit, mc
 from spatial_lp.dataset import Region, SpatialDataset, load_csv, save_csv
 from spatial_lp.inference import two_sample_variance, variance_hat
 
@@ -246,13 +246,13 @@ def test_fit_grid_with_intervals(tmp_path, sim_data):
 
 def test_fit_grid_fits_each_window_site_once(tmp_path, sim_data, monkeypatch):
     fitted = []
-    fit_many = lpfit.fit_many
+    residual_means = inference._residual_means
 
-    def counting_fit_many(dataset, config, Z):
+    def counting_residual_means(dataset, config, Z):
         fitted.extend(tuple(z) for z in Z)
-        return fit_many(dataset, config, Z)
+        return residual_means(dataset, config, Z)
 
-    monkeypatch.setattr(lpfit, "fit_many", counting_fit_many)
+    monkeypatch.setattr(inference, "_residual_means", counting_residual_means)
     h, grid = 0.25, [(0.0, 0.0), (0.05, 0.0)]
     cfg = _write(
         tmp_path / "fit.json",
@@ -744,6 +744,23 @@ def test_mc_threads_bound_the_pool(tmp_path, monkeypatch, threads, pool):
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
 
 
+def test_mc_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    """Two worker processes write the files one does, byte for byte; the spec
+    each worker is sent must pickle."""
+    cfg = _write(
+        tmp_path / "mc.json",
+        {"reps": 8, "n": 400, "A": [10.0, 10.0], "master_seed": 3,
+         "error": {"kind": "car1", "n_knots": 200}},
+    )
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out, threads in zip(outs, ("1", "2")):
+        argv = ["mc", "--config", cfg, "--out", str(out), "--threads", threads]
+        assert cli.main(argv) == 0
+    assert len((outs[0] / "that.csv").read_text().splitlines()) == 9
+    for name in ("that.csv", "hist.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("seed", [None, 9])
 def test_mc_summary_rebuilds_its_spec(tmp_path, seed):
     cfg = _write(
@@ -842,7 +859,6 @@ MC_BASE = {"reps": 2, "n": 50, "A": [10.0, 10.0]}
       "error.buffer", "a number or null"),
      ("mc", {**MC_BASE, "error": {"kind": ["car1"]}}, "error.kind", "a string"),
      ("mc", {**MC_BASE, "kernel": {"C_K": "1"}}, "kernel.C_K", "a number"),
-     ("mc", {**MC_BASE, "mean_offset": "1"}, "mean_offset", "a number"),
      ("mc", {**MC_BASE, "outlier_threshold": "x"}, "outlier_threshold", "a number"),
      ("mc", {**MC_BASE, "max_failure_fraction": "x"}, "max_failure_fraction",
       "a number"),
@@ -852,7 +868,7 @@ MC_BASE = {"reps": 2, "n": 50, "A": [10.0, 10.0]}
      ("fit", {"h": [0.25, 0.25], "z": [0.0, 0.0], "kernel": {"C_K": "1"}},
       "kernel.C_K", "a number")],
     ids=["mc-sigma2", "mc-lambda", "mc-tau2", "mc-buffer", "mc-kind", "mc-C_K",
-         "mc-mean_offset", "mc-outlier_threshold", "mc-max_failure_fraction",
+         "mc-outlier_threshold", "mc-max_failure_fraction",
          "mc-mean", "simulate-tau2", "fit-C_K"],
 )
 def test_scalar_key_must_have_its_kind(
@@ -873,6 +889,33 @@ def test_scalar_key_must_have_its_kind(
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not calls
     assert not (tmp_path / "o").exists()
+
+
+def test_mc_mean_offset_is_an_unknown_key(tmp_path, capsys, monkeypatch):
+    """A shift added to every Y and to m(z) alike cancels out of t_hat, so mc
+    has no such key: a config that sets one is rc 1 before any replication."""
+    monkeypatch.setattr(mc, "run_replication", lambda *a: pytest.fail("a replication ran"))
+    cfg = _write(tmp_path / "cfg.json", {**MC_BASE, "mean_offset": 1.0})
+    capsys.readouterr()
+    assert cli.main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys ['mean_offset']" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_key_tables_agree():
+    """Every key checked for its kind or axes is one that some command allows,
+    and every dotted key names a key of its section."""
+    allowed = (
+        cli.SIMULATE_KEYS | cli.FIT_KEYS | cli.MC_KEYS | cli.TWO_SAMPLE_KEYS
+        | cli.MOMENTS_KEYS
+    )
+    for key in (*cli.SCALAR_KEYS, *cli.AXIS_KEYS):
+        section, _, name = key.rpartition(".")
+        assert (section or name) in allowed, key
+        if section:
+            assert name in cli.SECTION_KEYS.get(section, ()), key
 
 
 def test_knot_buffer_and_noise_variance_may_be_null(tmp_path):

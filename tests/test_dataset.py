@@ -140,6 +140,13 @@ def test_csv_round_trip_with_group(tmp_path):
     ds.save_csv(data, path)
     back = ds.load_csv(path)
     assert list(back.group) == ["a", "b"]
+    # whitespace around a label, and an empty label, read back as written
+    labels = [" a ", "t\t", " ", ""]
+    data = ds.SpatialDataset(
+        region=r, sites=[[0.0]] * 4, responses=[1.0] * 4, group=np.array(labels)
+    )
+    ds.save_csv(data, path)
+    assert list(ds.load_csv(path).group) == labels
 
 
 def _reference_save_csv(dataset, path) -> None:
@@ -246,14 +253,15 @@ def test_load_csv_header_mismatch(tmp_path):
 
 
 def _per_line_parse(path, d):
-    """The body of a CSV parsed line by line with float(), blank lines skipped."""
+    """The body of a CSV parsed line by line with float(), whitespace-only
+    lines skipped; a group label is the last field as written."""
     sites, ys, groups = [], [], []
     with open(path) as f:
         f.readline()
         has_group = f.readline().strip().endswith(",group")
         for line in f:
-            line = line.strip()
-            if not line:
+            line = line.removesuffix("\n")
+            if not line.strip():
                 continue
             parts = line.split(",")
             sites.append([float(v) for v in parts[:d]])

@@ -10,20 +10,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spatial_lp import mc, randfield
 
+from _oracles import paper_mean
+
 
 def test_paper_mean_values():
-    assert mc.paper_mean(np.zeros((1, 2)))[0] == pytest.approx(15 * math.cos(1.0))
-    assert mc.paper_mean(np.array([[0.2, -0.2]]))[0] == pytest.approx(
+    assert paper_mean(np.zeros((1, 2)))[0] == pytest.approx(15 * math.cos(1.0))
+    assert paper_mean(np.array([[0.2, -0.2]]))[0] == pytest.approx(
         17.0 * math.cos(1.0)
     )
 
 
 def test_make_mean_function():
     f = mc.make_mean_function("paper_mean")
-    assert f is mc.paper_mean
+    z = np.array([[0.0, 0.0], [0.2, -0.2], [-0.49, 0.3]])
+    assert f(z).tobytes() == paper_mean(z).tobytes()
+    assert mc.make_mean_function("paper_mean") is f  # compiled once
+    with pytest.raises(ValueError, match="mean expression uses x2 in d=1"):
+        mc.ExperimentSpec(reps=1, n=100, A=(10.0,))
 
     g = mc.make_mean_function("x1 + 2*x2")
     np.testing.assert_allclose(g(np.array([[0.1, 0.2], [0.3, -0.1]])), [0.5, 0.1])
@@ -65,6 +73,17 @@ def test_mean_expression_whitelist():
     )
     with pytest.raises(ValueError):
         mc.make_mean_function("x3")(z)
+
+
+_INTERIOR = st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_INTERIOR, _INTERIOR), min_size=1, max_size=20))
+def test_named_paper_mean_is_the_closed_form_bitwise(points):
+    """MEANS["paper_mean"] gives the closed form's bits at every point of R_0."""
+    z = np.array(points)
+    assert mc.make_mean_function("paper_mean")(z).tobytes() == paper_mean(z).tobytes()
 
 
 def test_bundled_configs_resolve_their_mean():

@@ -11,7 +11,12 @@ import pytest
 from spatial_lp import inference, kernels, lpfit, mc
 from spatial_lp.dataset import SpatialDataset, generate_sites, rep_rng
 
-from _oracles import InterceptOracle, covariance_exponential, exponential_self_convolution
+from _oracles import (
+    InterceptOracle,
+    covariance_exponential,
+    exponential_self_convolution,
+    paper_mean,
+)
 
 # error process of the bundled case (ii) config; the ExperimentSpec defaults
 # carry its bandwidths and taper
@@ -64,9 +69,9 @@ def test_misfit_term_equals_program_var0_without_noise(p, z):
     oracle = InterceptOracle(spec)
     for rep in range(2):
         sites = _sites(spec, rep)
-        mu = mc.paper_mean(sites / spec.region().sides())
+        mu = paper_mean(sites / spec.region().sides())
         data = SpatialDataset(region=spec.region(), sites=sites, responses=mu)
-        m_z = float(mc.paper_mean(np.asarray(z)[None, :])[0])
+        m_z = float(paper_mean(np.asarray(z)[None, :])[0])
         mom = oracle.moments(sites, mu, m_z, mu)
 
         var0 = _program_var0(spec, data)
@@ -96,8 +101,8 @@ def test_realized_statistic_matches_program_with_noise():
     sites = generate_sites(spec.region(), spec.density, spec.n, rng)
     y = mc.simulate_responses(spec, sites, rng)
     data = SpatialDataset(region=spec.region(), sites=sites, responses=y)
-    m_z = float(mc.paper_mean(np.zeros((1, 2)))[0])
-    mu = mc.paper_mean(sites / spec.region().sides())
+    m_z = float(paper_mean(np.zeros((1, 2)))[0])
+    mu = paper_mean(sites / spec.region().sides())
     mom = oracle.moments(sites, mu, m_z, y)
     assert mom["N"] == pytest.approx(_program_numerator(spec, data, m_z), rel=1e-10)
     assert mom["var0"] == pytest.approx(_program_var0(spec, data), rel=1e-10)
